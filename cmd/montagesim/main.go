@@ -20,23 +20,23 @@
 //
 // The -exp flag selects a canned experiment (one per paper table or
 // figure) from the shared registry in internal/experiments -- the same
-// list the reprosrv daemon serves under /v1/experiments, so the CLI and
-// the API can never drift apart.  The -run flag simulates a single
-// custom configuration, including seeded spot scenarios and mixed
-// fleets via the -spot-* flags; with -json it emits the exact result
-// document POST /v1/run returns, byte for byte.  The -placement,
-// -victim, -checkpoint-policy and -pool-sizing flags select named
-// scheduling/recovery policies for the custom run (v2 scenario
-// documents select them via their policies section instead).
+// list the reprosrv daemon serves under /v2/experiments, so the CLI and
+// the API can never drift apart.
 //
-// The -scenario flag is the v2 path: it reads one declarative
-// ScenarioSpec document (the same JSON POST /v2/run accepts) and runs
-// it; with -json it emits the exact v2 result document the server
-// returns.  If the document is a sweep request -- a {"scenario": ...,
-// "axes": [{"axis": <any scenario path>, "values": [...]}]} pair -- the
-// grid streams to stdout as NDJSON envelopes byte-identical to a
-// POST /v2/sweep response.  With -csv the single run (or the whole
-// sweep grid) renders as one CSV table instead.
+// The -scenario flag reads one declarative v2 ScenarioSpec document (the
+// same JSON POST /v2/run accepts) and runs it; with -json it emits the
+// exact result document the server returns.  If the document is a sweep
+// request -- a {"scenario": ..., "axes": [{"axis": <any scenario path>,
+// "values": [...]}]} pair -- the grid streams to stdout as NDJSON
+// envelopes byte-identical to a POST /v2/sweep response.  With -csv the
+// single run (or the whole sweep grid) renders as one CSV table instead.
+//
+// The -run flag is shorthand for a scenario document: the preset and
+// every knob flag (-mode, -procs, -billing, the -spot-* market, fleet
+// and checkpoint flags, and the -placement, -victim, -checkpoint-policy
+// and -pool-sizing policy names) fill in the sections of one v2
+// scenario, which then runs exactly as -scenario would run it.  With
+// -json it emits the same document POST /v2/run returns, byte for byte.
 package main
 
 import (
@@ -52,7 +52,6 @@ import (
 	"repro"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/report"
 	"repro/internal/sweep"
 	"repro/wire"
@@ -61,26 +60,11 @@ import (
 func main() {
 	exp := flag.String("exp", "", "experiment to run (see -exp list), or 'all'")
 	format := flag.String("format", "text", "output format: text or csv")
-	run := flag.String("run", "", "custom run: workflow preset 1deg, 2deg or 4deg")
 	scenario := flag.String("scenario", "", "path to a v2 scenario JSON document, or a {scenario, axes} sweep document ('-' reads stdin)")
-	mode := flag.String("mode", "regular", "custom run: remote-io, regular or cleanup")
-	procs := flag.Int("procs", 0, "custom run: provisioned processors (0 = full parallelism)")
-	billing := flag.String("billing", "on-demand", "custom run: provisioned or on-demand")
-	jsonOut := flag.Bool("json", false, "custom run: emit the machine-readable result document (same as the reprosrv API)")
-	spotRate := flag.Float64("spot-rate", 0, "custom run: per-instance spot reclaims per hour (0 = reliable capacity)")
-	spotWarning := flag.Float64("spot-warning", 0, "custom run: spot reclaim warning seconds (0 = 120 when reclaims are on)")
-	spotDown := flag.Float64("spot-down", 0, "custom run: spot downtime seconds (0 = 600 when reclaims are on)")
-	spotSeed := flag.Int64("spot-seed", 0, "custom run: revocation-schedule seed")
-	spotDiscount := flag.Float64("spot-discount", 0, "custom run: spot CPU discount fraction in [0,1)")
-	spotOnDemand := flag.Int("spot-ondemand", 0, "custom run: reliable on-demand processors of a mixed fleet")
-	spotCkpt := flag.Float64("spot-ckpt", 0, "custom run: checkpoint interval seconds (0 = restart preempted tasks from scratch)")
-	spotCkptOverhead := flag.Float64("spot-ckpt-overhead", 0, "custom run: wall-clock seconds per checkpoint write")
-	placement := flag.String("placement", "", "custom run: reliable-slot placement policy (rank, heft, fifo)")
-	victim := flag.String("victim", "", "custom run: spot reclaim victim policy (deterministic, cost-aware, least-progress)")
-	ckptPolicy := flag.String("checkpoint-policy", "", "custom run: checkpoint trigger policy (interval, adaptive, risk)")
-	poolSizing := flag.String("pool-sizing", "", "custom run: reliable/spot pool-sizing policy (static, quarter, half)")
+	run := runFlags(flag.CommandLine)
+	jsonOut := flag.Bool("json", false, "single run: emit the machine-readable result document (same as the reprosrv API)")
 	csvOut := flag.Bool("csv", false, "scenario run: emit the result table (or sweep grid table) as CSV")
-	tracePath := flag.String("trace", "", "custom or scenario run: write the flight-recorder timeline as a Chrome trace-event file (open in Perfetto)")
+	tracePath := flag.String("trace", "", "single run: write the flight-recorder timeline as a Chrome trace-event file (open in Perfetto)")
 	flag.Parse()
 
 	// Ctrl-C cancels the whole experiment grid cooperatively: in-flight
@@ -103,44 +87,54 @@ func main() {
 		}
 		fmtArg = "csv"
 	}
-	bundle := policy.Bundle{
-		Placement:  *placement,
-		Victim:     *victim,
-		Checkpoint: *ckptPolicy,
-		Sizing:     *poolSizing,
-	}
-	if bundle != (policy.Bundle{}) && *run == "" {
+	if *run.Policies != (wire.PoliciesSection{}) && run.Workflow.Name == "" {
 		fmt.Fprintln(os.Stderr, "montagesim: policy flags apply to -run (scenario documents carry their own policies section)")
 		os.Exit(1)
 	}
-	req := repro.RunRequest{
-		Workflow:   *run,
-		Mode:       *mode,
-		Processors: *procs,
-		Billing:    *billing,
-	}
-	spot := repro.SpotRequest{
-		RatePerHour:               *spotRate,
-		WarningSeconds:            *spotWarning,
-		DowntimeSeconds:           *spotDown,
-		Seed:                      *spotSeed,
-		Discount:                  *spotDiscount,
-		OnDemandProcessors:        *spotOnDemand,
-		CheckpointSeconds:         *spotCkpt,
-		CheckpointOverheadSeconds: *spotCkptOverhead,
-	}
-	if spot != (repro.SpotRequest{}) {
-		req.Spot = &spot
-	}
-	if err := realMain(ctx, *exp, fmtArg, *scenario, req, bundle, *tracePath); err != nil {
+	if err := realMain(ctx, *exp, fmtArg, *scenario, *run, *tracePath); err != nil {
 		fmt.Fprintf(os.Stderr, "montagesim: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func realMain(ctx context.Context, exp, format, scenarioPath string, req repro.RunRequest, bundle policy.Bundle, tracePath string) error {
+// runFlags registers the -run flag and its knob flags on fs, each one
+// writing straight into a field of the returned scenario document.  A
+// section whose flags all stay zero resolves exactly like an absent
+// one, so the document carries every section.
+func runFlags(fs *flag.FlagSet) *wire.Scenario {
+	sc := &wire.Scenario{
+		Version:  wire.Version,
+		Fleet:    &wire.FleetSection{},
+		Storage:  &wire.StorageSection{},
+		Pricing:  &wire.PricingSection{},
+		Spot:     &wire.SpotSection{},
+		Recovery: &wire.RecoverySection{},
+		Policies: &wire.PoliciesSection{},
+	}
+	fs.StringVar(&sc.Workflow.Name, "run", "", "custom run: workflow preset 1deg, 2deg or 4deg")
+	fs.StringVar(&sc.Storage.Mode, "mode", "regular", "custom run: remote-io, regular or cleanup")
+	fs.IntVar(&sc.Fleet.Processors, "procs", 0, "custom run: provisioned processors (0 = full parallelism)")
+	fs.StringVar(&sc.Pricing.Billing, "billing", "on-demand", "custom run: provisioned or on-demand")
+	fs.Float64Var(&sc.Spot.RatePerHour, "spot-rate", 0, "custom run: per-instance spot reclaims per hour (0 = reliable capacity)")
+	fs.Float64Var(&sc.Spot.WarningSeconds, "spot-warning", 0, "custom run: spot reclaim warning seconds (0 = 120 when reclaims are on)")
+	fs.Float64Var(&sc.Spot.DowntimeSeconds, "spot-down", 0, "custom run: spot downtime seconds (0 = 600 when reclaims are on)")
+	fs.Int64Var(&sc.Spot.Seed, "spot-seed", 0, "custom run: revocation-schedule seed")
+	fs.Float64Var(&sc.Spot.Discount, "spot-discount", 0, "custom run: spot CPU discount fraction in [0,1)")
+	fs.IntVar(&sc.Fleet.Reliable, "spot-ondemand", 0, "custom run: reliable on-demand processors of a mixed fleet")
+	fs.Float64Var(&sc.Recovery.CheckpointSeconds, "spot-ckpt", 0, "custom run: checkpoint interval seconds (0 = restart preempted tasks from scratch)")
+	fs.Float64Var(&sc.Recovery.CheckpointOverheadSeconds, "spot-ckpt-overhead", 0, "custom run: wall-clock seconds per checkpoint write")
+	fs.StringVar(&sc.Policies.Placement, "placement", "", "custom run: reliable-slot placement policy (rank, heft, fifo)")
+	fs.StringVar(&sc.Policies.Victim, "victim", "", "custom run: spot reclaim victim policy (deterministic, cost-aware, least-progress)")
+	fs.StringVar(&sc.Policies.Checkpoint, "checkpoint-policy", "", "custom run: checkpoint trigger policy (interval, adaptive, risk)")
+	fs.StringVar(&sc.Policies.Sizing, "pool-sizing", "", "custom run: reliable/spot pool-sizing policy (static, quarter, half)")
+	return sc
+}
+
+// realMain dispatches on the selected action: an experiment, the -run
+// scenario (selected when it names a workflow) or a scenario file.
+func realMain(ctx context.Context, exp, format, scenarioPath string, run wire.Scenario, tracePath string) error {
 	selected := 0
-	for _, set := range []bool{exp != "", req.Workflow != "", scenarioPath != ""} {
+	for _, set := range []bool{exp != "", run.Workflow.Name != "", scenarioPath != ""} {
 		if set {
 			selected++
 		}
@@ -153,10 +147,10 @@ func realMain(ctx context.Context, exp, format, scenarioPath string, req repro.R
 		return fmt.Errorf("use exactly one of -exp, -run or -scenario")
 	case exp != "":
 		return runExperiment(ctx, exp, format, os.Stdout)
-	case req.Workflow != "":
-		return runCustom(ctx, req, bundle, format, tracePath, os.Stdout)
+	case run.Workflow.Name != "":
+		return runScenario(ctx, run, format, tracePath, os.Stdout)
 	case scenarioPath != "":
-		return runScenario(ctx, scenarioPath, format, tracePath, os.Stdout)
+		return runDocument(ctx, scenarioPath, format, tracePath, os.Stdout)
 	default:
 		flag.Usage()
 		return fmt.Errorf("nothing to do: pass -exp, -run or -scenario")
@@ -225,38 +219,10 @@ func runExperiment(ctx context.Context, name, format string, w io.Writer) error 
 	})
 }
 
-// runCustom resolves a v1 request and runs it.  The policy bundle is
-// applied to the resolved plan -- the v1 wire shape is frozen, so policy
-// selection is a CLI-level knob here and a scenario section on v2.
-func runCustom(ctx context.Context, req repro.RunRequest, bundle policy.Bundle, format, tracePath string, w io.Writer) error {
-	spec, plan, err := req.Resolve()
-	if err != nil {
-		return err
-	}
-	plan.Policies = bundle
-	rec := maybeRecorder(&plan, tracePath)
-	res, err := simulate(ctx, spec, plan)
-	if err != nil {
-		return err
-	}
-	if err := maybeWriteTrace(tracePath, rec); err != nil {
-		return err
-	}
-	if format == "json" {
-		body, err := repro.NewRunDocument(res).Encode()
-		if err != nil {
-			return err
-		}
-		_, err = w.Write(body)
-		return err
-	}
-	return writeRunTable(spec, res, w)
-}
-
-// runScenario runs one v2 document: a plain scenario (single run) or a
+// runDocument runs one v2 document: a plain scenario (single run) or a
 // {scenario, axes} sweep request (NDJSON grid stream, byte-identical to
 // a POST /v2/sweep response).
-func runScenario(ctx context.Context, path, format, tracePath string, w io.Writer) error {
+func runDocument(ctx context.Context, path, format, tracePath string, w io.Writer) error {
 	raw, err := readInput(path)
 	if err != nil {
 		return err
@@ -284,6 +250,12 @@ func runScenario(ctx context.Context, path, format, tracePath string, w io.Write
 	if err := wire.DecodeStrict(bytes.NewReader(raw), &sc); err != nil {
 		return err
 	}
+	return runScenario(ctx, sc, format, tracePath, w)
+}
+
+// runScenario resolves and runs one scenario, writing its result
+// document (json), table row (csv) or text table.
+func runScenario(ctx context.Context, sc wire.Scenario, format, tracePath string, w io.Writer) error {
 	spec, plan, err := sc.Resolve()
 	if err != nil {
 		return err
@@ -372,16 +344,6 @@ func readInput(path string) ([]byte, error) {
 		return io.ReadAll(os.Stdin)
 	}
 	return os.ReadFile(path)
-}
-
-// maybeRecorder arms the plan's flight recorder when a trace output was
-// requested, returning it (nil otherwise).
-func maybeRecorder(plan *repro.Plan, tracePath string) *obs.Recorder {
-	if tracePath == "" {
-		return nil
-	}
-	plan.Recorder = obs.NewRecorder(0)
-	return plan.Recorder
 }
 
 // maybeWriteTrace renders the recorder's timeline as a Chrome

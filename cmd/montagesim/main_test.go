@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"flag"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro"
-	"repro/internal/policy"
+	"repro/wire"
 )
 
 func TestRunExperimentList(t *testing.T) {
@@ -52,9 +56,22 @@ func TestRunExperimentErrors(t *testing.T) {
 	}
 }
 
+// runArgs parses -run command-line flags the way main does and returns
+// the scenario they describe.
+func runArgs(t *testing.T, args ...string) wire.Scenario {
+	t.Helper()
+	fs := flag.NewFlagSet("montagesim", flag.ContinueOnError)
+	sc := runFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return *sc
+}
+
 func TestRunCustom(t *testing.T) {
 	var b strings.Builder
-	if err := runCustom(context.Background(), repro.RunRequest{Workflow: "1deg", Mode: "cleanup", Processors: 8, Billing: "provisioned"}, policy.Bundle{}, "text", "", &b); err != nil {
+	run := runArgs(t, "-run", "1deg", "-mode", "cleanup", "-procs", "8", "-billing", "provisioned")
+	if err := runScenario(context.Background(), run, "text", "", &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -67,106 +84,89 @@ func TestRunCustom(t *testing.T) {
 
 func TestRunCustomJSON(t *testing.T) {
 	var b strings.Builder
-	if err := runCustom(context.Background(), repro.RunRequest{Workflow: "1deg", Mode: "regular", Processors: 4, Billing: "on-demand"}, policy.Bundle{}, "json", "", &b); err != nil {
+	if err := runScenario(context.Background(), runArgs(t, "-run", "1deg", "-procs", "4"), "json", "", &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{`"Mode": "regular"`, `"total"`, `"CPUSeconds"`, `"workflow": "montage-1deg"`, `"billing": "on-demand"`} {
+	for _, want := range []string{`"version": 2`, `"total"`, `"CPUSeconds"`, `"workflow": "montage-1deg"`, `"billing": "on-demand"`, `"processors": 4`} {
 		if !strings.Contains(out, want) {
 			t.Errorf("JSON output missing %q:\n%s", want, out)
 		}
 	}
 }
 
+// TestRunCustomJSONMatchesWireDocument: -run is shorthand for a scenario
+// document, so its -json output must be byte-identical to -scenario of
+// the equivalent document.
 func TestRunCustomJSONMatchesWireDocument(t *testing.T) {
-	// The -json document must be byte-identical to what the server
-	// builds for the same request: both go through RunDocument.Encode.
-	var b strings.Builder
-	if err := runCustom(context.Background(), repro.RunRequest{Workflow: "1deg", Mode: "regular", Processors: 4, Billing: "on-demand"}, policy.Bundle{}, "json", "", &b); err != nil {
+	var cli, doc bytes.Buffer
+	run := runArgs(t, "-run", "1deg", "-mode", "regular", "-procs", "4", "-billing", "on-demand")
+	if err := runScenario(context.Background(), run, "json", "", &cli); err != nil {
 		t.Fatal(err)
 	}
-	spec, plan, err := repro.RunRequest{Workflow: "1deg", Mode: "regular", Processors: 4}.Resolve()
-	if err != nil {
+	path := writeDoc(t, "s.json", `{"version": 2, "workflow": {"name": "1deg"}, "fleet": {"processors": 4}}`)
+	if err := runDocument(context.Background(), path, "json", "", &doc); err != nil {
 		t.Fatal(err)
 	}
-	wf, err := repro.GenerateCached(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := repro.Run(wf, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := repro.NewRunDocument(res).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != string(want) {
-		t.Errorf("CLI JSON diverges from wire document:\nCLI:\n%s\nwire:\n%s", b.String(), want)
+	if !bytes.Equal(cli.Bytes(), doc.Bytes()) {
+		t.Errorf("-run JSON diverges from -scenario:\n-run:\n%s\n-scenario:\n%s", cli.Bytes(), doc.Bytes())
 	}
 }
 
 // TestRunCustomSpotJSONMatchesWireDocument pins the acceptance
-// criterion end to end on the CLI side: a seeded mixed-fleet -json run
-// is byte-identical to the document the server builds for the same
-// request (internal/server asserts the same bytes against POST /v1/run).
+// criterion end to end: a seeded mixed-fleet -run -json is
+// byte-identical to what POST /v2/run returns for the same scenario.
 func TestRunCustomSpotJSONMatchesWireDocument(t *testing.T) {
-	req := repro.RunRequest{
-		Workflow: "1deg", Processors: 16,
-		Spot: &repro.SpotRequest{
-			RatePerHour: 1.5, Seed: 7, Discount: 0.65, OnDemandProcessors: 4,
-			CheckpointSeconds: 300, CheckpointOverheadSeconds: 10,
-		},
-	}
-	var b strings.Builder
-	if err := runCustom(context.Background(), req, policy.Bundle{}, "json", "", &b); err != nil {
+	var cli bytes.Buffer
+	run := runArgs(t, "-run", "1deg", "-procs", "16", "-spot-rate", "1.5", "-spot-seed", "7", "-spot-discount", "0.65",
+		"-spot-ondemand", "4", "-spot-ckpt", "300", "-spot-ckpt-overhead", "10")
+	if err := runScenario(context.Background(), run, "json", "", &cli); err != nil {
 		t.Fatal(err)
 	}
-	spec, plan, err := req.Resolve()
+	ts := httptest.NewServer(newTestHandler(t))
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v2/run", "application/json", strings.NewReader(`{"version": 2,
+		"workflow": {"name": "1deg"}, "fleet": {"processors": 16, "reliable": 4},
+		"spot": {"rate_per_hour": 1.5, "seed": 7, "discount": 0.65},
+		"recovery": {"checkpoint_seconds": 300, "checkpoint_overhead_seconds": 10}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wf, err := repro.GenerateCached(spec)
+	defer resp.Body.Close()
+	srv, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := repro.Run(wf, plan)
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Equal(cli.Bytes(), srv) {
+		t.Errorf("CLI spot JSON diverges from POST /v2/run:\nCLI:\n%s\nserver:\n%s", cli.Bytes(), srv)
 	}
-	want, err := repro.NewRunDocument(res).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != string(want) {
-		t.Errorf("CLI spot JSON diverges from wire document:\nCLI:\n%s\nwire:\n%s", b.String(), want)
-	}
-	if !strings.Contains(b.String(), `"on_demand_processors": 4`) {
-		t.Errorf("spot plan missing from the document:\n%s", b.String())
+	if !strings.Contains(cli.String(), `"reliable": 4`) {
+		t.Errorf("fleet split missing from the document:\n%s", cli.String())
 	}
 }
 
 func TestRunCustomErrors(t *testing.T) {
-	var b strings.Builder
-	if err := runCustom(context.Background(), repro.RunRequest{Workflow: "9deg", Mode: "regular", Billing: "on-demand"}, policy.Bundle{}, "text", "", &b); err == nil {
-		t.Error("unknown preset accepted")
-	}
-	if err := runCustom(context.Background(), repro.RunRequest{Workflow: "1deg", Mode: "sideways", Billing: "on-demand"}, policy.Bundle{}, "text", "", &b); err == nil {
-		t.Error("unknown mode accepted")
-	}
-	if err := runCustom(context.Background(), repro.RunRequest{Workflow: "1deg", Mode: "regular", Billing: "prepaid"}, policy.Bundle{}, "text", "", &b); err == nil {
-		t.Error("unknown billing accepted")
+	for name, args := range map[string][]string{
+		"unknown preset":  {"-run", "9deg"},
+		"unknown mode":    {"-run", "1deg", "-mode", "sideways"},
+		"unknown billing": {"-run", "1deg", "-billing", "prepaid"},
+		"unknown policy":  {"-run", "1deg", "-placement", "coin-flip"},
+	} {
+		if err := runScenario(context.Background(), runArgs(t, args...), "text", "", io.Discard); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
 func TestRealMainArgs(t *testing.T) {
-	if err := realMain(context.Background(), "fig4", "text", "", repro.RunRequest{Workflow: "1deg"}, policy.Bundle{}, ""); err == nil {
+	run := wire.Scenario{Version: wire.Version, Workflow: wire.WorkflowSection{Name: "1deg"}}
+	if err := realMain(context.Background(), "fig4", "text", "", run, ""); err == nil {
 		t.Error("-exp together with -run accepted")
 	}
-	if err := realMain(context.Background(), "fig4", "text", "file.json", repro.RunRequest{}, policy.Bundle{}, ""); err == nil {
+	if err := realMain(context.Background(), "fig4", "text", "file.json", wire.Scenario{}, ""); err == nil {
 		t.Error("-exp together with -scenario accepted")
 	}
-	if err := realMain(context.Background(), "", "text", "", repro.RunRequest{}, policy.Bundle{}, ""); err == nil {
+	if err := realMain(context.Background(), "", "text", "", wire.Scenario{}, ""); err == nil {
 		t.Error("no action accepted")
 	}
 }

@@ -57,7 +57,7 @@ const sweepDoc = `{
 // the exact bytes POST /v2/run returns for the same document.
 func TestScenarioRunMatchesServer(t *testing.T) {
 	var cli bytes.Buffer
-	if err := runScenario(context.Background(), writeDoc(t, "s.json", scenarioDoc), "json", "", &cli); err != nil {
+	if err := runDocument(context.Background(), writeDoc(t, "s.json", scenarioDoc), "json", "", &cli); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newTestHandler(t))
@@ -83,7 +83,7 @@ func TestScenarioRunMatchesServer(t *testing.T) {
 // byte-identical to a POST /v2/sweep response for the same document.
 func TestScenarioSweepMatchesServer(t *testing.T) {
 	var cli bytes.Buffer
-	if err := runScenario(context.Background(), writeDoc(t, "sweep.json", sweepDoc), "text", "", &cli); err != nil {
+	if err := runDocument(context.Background(), writeDoc(t, "sweep.json", sweepDoc), "text", "", &cli); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(newTestHandler(t))
@@ -123,7 +123,7 @@ func TestScenarioSweepMatchesServer(t *testing.T) {
 
 func TestScenarioTextTable(t *testing.T) {
 	var out bytes.Buffer
-	if err := runScenario(context.Background(), writeDoc(t, "s.json", scenarioDoc), "text", "", &out); err != nil {
+	if err := runDocument(context.Background(), writeDoc(t, "s.json", scenarioDoc), "text", "", &out); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"montage-1deg", "preempted", "total cost"} {
@@ -141,11 +141,11 @@ func TestScenarioRejectsMalformedDocuments(t *testing.T) {
 		"bad axis":      `{"scenario": {"version": 2, "workflow": {"name": "1deg"}}, "axes": [{"axis": "zap", "values": [1]}]}`,
 	} {
 		var out bytes.Buffer
-		if err := runScenario(context.Background(), writeDoc(t, "bad.json", body), "text", "", &out); err == nil {
+		if err := runDocument(context.Background(), writeDoc(t, "bad.json", body), "text", "", &out); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if err := runScenario(context.Background(), filepath.Join(t.TempDir(), "absent.json"), "text", "", io.Discard); err == nil {
+	if err := runDocument(context.Background(), filepath.Join(t.TempDir(), "absent.json"), "text", "", io.Discard); err == nil {
 		t.Error("absent file accepted")
 	}
 }

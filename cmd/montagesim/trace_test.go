@@ -9,8 +9,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro"
-	"repro/internal/policy"
 	"repro/wire"
 )
 
@@ -29,7 +27,7 @@ const tracedScenarioDoc = `{
 // the result is the traced v2 run document, timeline included.
 func TestScenarioTraceJSON(t *testing.T) {
 	var out bytes.Buffer
-	if err := runScenario(context.Background(), writeDoc(t, "traced.json", tracedScenarioDoc), "json", "", &out); err != nil {
+	if err := runDocument(context.Background(), writeDoc(t, "traced.json", tracedScenarioDoc), "json", "", &out); err != nil {
 		t.Fatal(err)
 	}
 	var doc wire.RunDocumentV2
@@ -46,11 +44,9 @@ func TestScenarioTraceJSON(t *testing.T) {
 // is a Chrome trace-event document with a non-empty traceEvents array.
 func TestTraceFlagWritesChromeTrace(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
-	req := repro.RunRequest{
-		Workflow: "1deg", Mode: "regular", Processors: 16, Billing: "on-demand",
-		Spot: &repro.SpotRequest{RatePerHour: 1.5, Seed: 7, Discount: 0.65, OnDemandProcessors: 4},
-	}
-	if err := runCustom(context.Background(), req, policy.Bundle{}, "json", path, io.Discard); err != nil {
+	run := runArgs(t, "-run", "1deg", "-procs", "16", "-spot-rate", "1.5", "-spot-seed", "7",
+		"-spot-discount", "0.65", "-spot-ondemand", "4")
+	if err := runScenario(context.Background(), run, "json", path, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -71,10 +67,10 @@ func TestTraceFlagWritesChromeTrace(t *testing.T) {
 // TestTraceFlagRejectsGridUses pins the -trace guard rails: sweeps and
 // experiments have no single timeline to write.
 func TestTraceFlagRejectsGridUses(t *testing.T) {
-	if err := realMain(context.Background(), "fig4", "text", "", repro.RunRequest{}, policy.Bundle{}, "out.json"); err == nil {
+	if err := realMain(context.Background(), "fig4", "text", "", wire.Scenario{}, "out.json"); err == nil {
 		t.Error("-exp with -trace accepted")
 	}
-	if err := runScenario(context.Background(), writeDoc(t, "sweep.json", sweepDoc), "text", "out.json", io.Discard); err == nil {
+	if err := runDocument(context.Background(), writeDoc(t, "sweep.json", sweepDoc), "text", "out.json", io.Discard); err == nil {
 		t.Error("sweep with -trace accepted")
 	}
 }

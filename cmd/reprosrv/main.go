@@ -7,9 +7,10 @@
 //	reprosrv -addr 127.0.0.1:0 -workers 8 -queue 128 -cache 2048
 //	reprosrv -addr 127.0.0.1:8080 -debug-addr 127.0.0.1:6060
 //
-// Endpoints (see internal/server): POST /v1/run, POST /v1/sweep (NDJSON
-// stream), GET /v1/experiments, GET /v1/experiments/{name},
-// GET /v1/advisor, GET /healthz, GET /metrics.
+// Endpoints (see internal/server): POST /v2/run, GET /v2/run (NDJSON
+// trace stream), POST /v2/sweep (NDJSON stream), GET /v2/experiments,
+// GET and POST /v2/experiments/{name}, GET /v2/advisor, GET /healthz,
+// GET /metrics.
 //
 // Every request is logged as one structured line (request ID, endpoint,
 // status, latency) via log/slog; -quiet drops them.  -debug-addr serves

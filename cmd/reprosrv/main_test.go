@@ -64,15 +64,15 @@ func TestRunBootsAndServes(t *testing.T) {
 		t.Fatalf("healthz = %d %s", resp.StatusCode, body)
 	}
 
-	resp, err = http.Post("http://"+addr+"/v1/run", "application/json",
-		strings.NewReader(`{"workflow":"1deg"}`))
+	resp, err = http.Post("http://"+addr+"/v2/run", "application/json",
+		strings.NewReader(`{"version":2,"workflow":{"name":"1deg"}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"montage-1deg"`) {
-		t.Fatalf("/v1/run = %d %s", resp.StatusCode, body)
+		t.Fatalf("/v2/run = %d %s", resp.StatusCode, body)
 	}
 
 	cancel()

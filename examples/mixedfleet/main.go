@@ -57,7 +57,7 @@ func main() {
 	}
 
 	// The registered frontier, exactly as montagesim -exp mixed-fleet
-	// and GET /v1/experiments/mixed-fleet serve it.
+	// and GET /v2/experiments/mixed-fleet serve it.
 	frontier, err := experiments.MixedFleet(context.Background())
 	if err != nil {
 		log.Fatal(err)

@@ -67,7 +67,7 @@ func main() {
 	}
 
 	// The full frontier experiment, exactly as montagesim -exp
-	// spot-frontier and GET /v1/experiments/spot-frontier serve it.
+	// spot-frontier and GET /v2/experiments/spot-frontier serve it.
 	frontier, err := experiments.SpotFrontier(context.Background())
 	if err != nil {
 		log.Fatal(err)

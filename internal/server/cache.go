@@ -6,7 +6,7 @@ import (
 )
 
 // resultCache is a size-bounded LRU of canonical response bodies keyed
-// by repro.CanonicalRunKey.  Simulations are deterministic, so a cached
+// by wire.CanonicalRunKeyV2.  Simulations are deterministic, so a cached
 // body is byte-identical to what re-simulating would produce; serving
 // the stored bytes verbatim is both the fast path and the correctness
 // guarantee.

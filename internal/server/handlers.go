@@ -5,18 +5,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 
 	"repro"
 	"repro/internal/advisor"
-	"repro/internal/dag"
-	"repro/internal/datamgmt"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/store"
-	"repro/internal/sweep"
 	"repro/internal/units"
 	"repro/wire"
 )
@@ -70,41 +68,13 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// ---- POST /v1/run ----
+// ---- the cache tiers ----
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req repro.RunRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	// The legacy surface is a thin adapter: the request upgrades into a
-	// v2 scenario inside Resolve, and only the v1 document shape (and
-	// the v1 cache-key space) is preserved here.
-	spec, plan, err := req.Resolve()
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	s.serveCachedRun(w, r, repro.CanonicalRunKey(spec, plan), nil, func(ctx context.Context) ([]byte, error) {
-		wf, err := s.wfCache.Generate(spec)
-		if err != nil {
-			return nil, err
-		}
-		res, err := repro.RunContext(ctx, wf, plan)
-		if err != nil {
-			return nil, err
-		}
-		return repro.NewRunDocument(res).Encode()
-	})
-}
-
-// tierRoute is what the v2 tier chain needs beyond the cache key: the
+// tierRoute is what the tier chain needs beyond the cache key: the
 // marshaled scenario document (to relay the request to its owning peer)
 // and whether this request was itself relayed by a peer, in which case
 // it must be answered locally -- a relayed request that forwarded again
-// could loop on a misconfigured ring.  A nil route keeps the legacy
-// /v1 behavior: memory LRU plus compute, no disk, no peers.
+// could loop on a misconfigured ring.
 type tierRoute struct {
 	scenario []byte
 	relayed  bool
@@ -120,21 +90,21 @@ type tierRoute struct {
 // request; it degrades to local computation.  The disk read, the peer
 // relay and the simulation all run inside the flight, so a thundering
 // herd of identical requests costs one of whichever tier answers.
-func (s *Server) serveCachedRun(w http.ResponseWriter, r *http.Request, key string, route *tierRoute, simulate func(ctx context.Context) ([]byte, error)) {
+func (s *Server) serveCachedRun(w http.ResponseWriter, r *http.Request, key string, route tierRoute, simulate func(ctx context.Context) ([]byte, error)) {
 	if body, ok := s.cache.Get(key); ok {
 		s.serveResult(w, "hit", body)
 		return
 	}
 	tier := "miss"
 	body, shared, err := s.flights.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
-		if route != nil && s.store != nil {
+		if s.store != nil {
 			if body, ok := s.store.Get(key); ok {
 				tier = "store"
 				s.cache.Put(key, body)
 				return body, nil
 			}
 		}
-		if route != nil && !route.relayed && s.ring != nil {
+		if !route.relayed && s.ring != nil {
 			if owner := s.ring.Owner(wire.KeyHash(key)); owner != s.self {
 				s.metrics.peerFetches.Add(1)
 				body, err := s.relay.Run(ctx, owner, route.scenario)
@@ -164,7 +134,7 @@ func (s *Server) serveCachedRun(w http.ResponseWriter, r *http.Request, key stri
 			return nil, err
 		}
 		s.cache.Put(key, body)
-		if route != nil && s.store != nil {
+		if s.store != nil {
 			s.store.Put(key, body) //nolint:errcheck // a failed persist only costs a future recompute
 		}
 		return body, nil
@@ -187,187 +157,7 @@ func (s *Server) serveResult(w http.ResponseWriter, tier string, body []byte) {
 	w.Write(body) //nolint:errcheck
 }
 
-// ---- POST /v1/sweep ----
-
-// SweepRequest is the wire form of a grid request: a base run plus up
-// to three axes.  The grid is the cross product in processors x modes x
-// CCRs order; an absent axis contributes the base plan's single value.
-type SweepRequest struct {
-	repro.RunRequest
-	Processors []int     `json:"processors,omitempty"`
-	Modes      []string  `json:"modes,omitempty"`
-	CCRs       []float64 `json:"ccrs,omitempty"`
-}
-
-// sweepRow is one grid point's result within a sweep envelope.
-type sweepRow struct {
-	Index int     `json:"index"`
-	CCR   float64 `json:"ccr,omitempty"`
-	repro.RunDocument
-}
-
-// sweepEnvelope is one NDJSON line of a sweep response.  Exactly one
-// field is set, so a client can always tell what it is reading:
-//
-//	{"row": {...}}          one grid point, in grid order
-//	{"done": {"rows": N}}   terminal: the grid completed
-//	{"error": "..."}        terminal: the sweep failed mid-stream
-//
-// The terminal line is the truncation detector -- the HTTP status line
-// is long gone by the time a mid-grid point fails, so a stream that
-// ends without "done" or "error" was cut off.
-type sweepEnvelope struct {
-	Row   *sweepRow  `json:"row,omitempty"`
-	Done  *sweepDone `json:"done,omitempty"`
-	Error string     `json:"error,omitempty"`
-}
-
-// sweepDone is the success sentinel: how many rows were streamed.
-type sweepDone struct {
-	Rows int `json:"rows"`
-}
-
-type gridPoint struct {
-	procs int
-	mode  datamgmt.Mode
-	ccr   float64 // 0 means "leave the workflow's CCR alone"
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if err := decodeBody(r, &req); err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	spec, plan, err := req.Resolve()
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return
-	}
-	procsAxis := req.Processors
-	if len(procsAxis) == 0 {
-		procsAxis = []int{plan.Processors}
-	}
-	modesAxis := []datamgmt.Mode{plan.Mode}
-	if len(req.Modes) > 0 {
-		modesAxis = modesAxis[:0]
-		for _, m := range req.Modes {
-			mode, err := datamgmt.ParseMode(m)
-			if err != nil {
-				s.fail(w, r, http.StatusBadRequest, err)
-				return
-			}
-			modesAxis = append(modesAxis, mode)
-		}
-	}
-	ccrAxis := req.CCRs
-	if len(ccrAxis) == 0 {
-		ccrAxis = []float64{0}
-	}
-	var grid []gridPoint
-	for _, procs := range procsAxis {
-		if procs < 0 {
-			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("server: negative processor count %d", procs))
-			return
-		}
-		for _, mode := range modesAxis {
-			for _, ccr := range ccrAxis {
-				if ccr < 0 {
-					s.fail(w, r, http.StatusBadRequest, fmt.Errorf("server: negative CCR %v", ccr))
-					return
-				}
-				grid = append(grid, gridPoint{procs: procs, mode: mode, ccr: ccr})
-			}
-		}
-	}
-
-	// A sweep holds one worker slot; its grid fans out on the sweep
-	// engine's own GOMAXPROCS pool, like every nested sweep in the repo.
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return
-	}
-	defer release()
-	wf, err := s.wfCache.Generate(spec)
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	// Rescale once per distinct CCR, not once per grid point: the scaled
-	// workflow is independent of the processor and mode axes, and cloning
-	// a multi-thousand-task DAG per point is pure waste.
-	scaledByCCR := make(map[float64]*dag.Workflow)
-	for _, ccr := range ccrAxis {
-		if ccr == 0 {
-			continue
-		}
-		if _, ok := scaledByCCR[ccr]; ok {
-			continue
-		}
-		scaled, err := wf.RescaleCCR(ccr, plan.Bandwidth)
-		if err != nil {
-			s.fail(w, r, http.StatusBadRequest, err)
-			return
-		}
-		scaledByCCR[ccr] = scaled
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	rows := 0
-	// Rows stream in grid order as soon as each point (and every earlier
-	// one) finishes; r.Context() cancellation -- the client hanging up --
-	// drains the whole grid.
-	err = sweep.Stream(r.Context(), 0, grid,
-		func(ctx context.Context, i int, p gridPoint) (repro.RunDocument, error) {
-			if s.testHookSweepPoint != nil {
-				if err := s.testHookSweepPoint(i); err != nil {
-					return repro.RunDocument{}, err
-				}
-			}
-			pointPlan := plan
-			pointPlan.Processors = p.procs
-			pointPlan.Mode = p.mode
-			pointWf := wf
-			if p.ccr > 0 {
-				pointWf = scaledByCCR[p.ccr]
-			}
-			res, err := repro.RunContext(ctx, pointWf, pointPlan)
-			if err != nil {
-				return repro.RunDocument{}, err
-			}
-			return repro.NewRunDocument(res), nil
-		},
-		func(i int, doc repro.RunDocument) error {
-			row := sweepRow{Index: i, CCR: grid[i].ccr, RunDocument: doc}
-			if err := enc.Encode(sweepEnvelope{Row: &row}); err != nil {
-				return err
-			}
-			rows++
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})
-	if err != nil {
-		if rows == 0 {
-			s.fail(w, r, statusFor(err), err)
-			return
-		}
-		// Mid-stream the status line is gone; emit the terminal error
-		// envelope instead (unless the client already hung up).
-		s.metrics.errors.Add(1)
-		if r.Context().Err() == nil {
-			enc.Encode(sweepEnvelope{Error: err.Error()}) //nolint:errcheck
-		}
-		return
-	}
-	enc.Encode(sweepEnvelope{Done: &sweepDone{Rows: rows}}) //nolint:errcheck
-}
-
-// ---- GET /v1/experiments and /v1/experiments/{name} ----
+// ---- GET /v2/experiments and /v2/experiments/{name} ----
 
 // experimentDoc is one registry entry on the wire.
 type experimentDoc struct {
@@ -431,7 +221,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}{Name: name, Tables: tableDocs(tables)})
 }
 
-// ---- GET /v1/advisor ----
+// ---- advisor queries (GET /v2/advisor) ----
 
 // advisorOption is one provisioning choice on the wire.
 type advisorOption struct {
@@ -448,8 +238,7 @@ func toAdvisorOptions(opts []advisor.Option) []advisorOption {
 	return out
 }
 
-// advisorQuery is the parsed, validated form of an advisor request,
-// shared by the v1 and v2 handlers.
+// advisorQuery is the parsed, validated form of an advisor request.
 type advisorQuery struct {
 	spec     repro.Spec
 	plan     repro.Plan
@@ -463,15 +252,16 @@ type advisorQuery struct {
 // malformed deadline or budget must cost a 400, not a full exploration.
 func parseAdvisorQuery(r *http.Request) (advisorQuery, error) {
 	q := r.URL.Query()
-	req := repro.RunRequest{
-		Workflow: q.Get("workflow"),
-		Mode:     q.Get("mode"),
-		Billing:  "provisioned",
+	sc := wire.Scenario{
+		Version:  wire.Version,
+		Workflow: wire.WorkflowSection{Name: q.Get("workflow")},
+		Storage:  &wire.StorageSection{Mode: q.Get("mode")},
+		Pricing:  &wire.PricingSection{Billing: "provisioned"},
 	}
-	if req.Workflow == "" {
+	if sc.Workflow.Name == "" {
 		return advisorQuery{}, fmt.Errorf("server: advisor needs ?workflow= (1deg, 2deg or 4deg)")
 	}
-	spec, plan, err := req.Resolve()
+	spec, plan, err := sc.Resolve()
 	if err != nil {
 		return advisorQuery{}, err
 	}
@@ -487,12 +277,12 @@ func parseAdvisorQuery(r *http.Request) (advisorQuery, error) {
 		}
 	}
 	if v := q.Get("slack"); v != "" {
-		if out.slack, err = strconv.ParseFloat(v, 64); err != nil || out.slack < 0 {
+		if out.slack, err = parseFinite(v); err != nil || out.slack < 0 {
 			return advisorQuery{}, fmt.Errorf("server: bad slack %q", v)
 		}
 	}
 	if v := q.Get("deadline_hours"); v != "" {
-		hours, err := strconv.ParseFloat(v, 64)
+		hours, err := parseFinite(v)
 		if err != nil || hours <= 0 {
 			return advisorQuery{}, fmt.Errorf("server: bad deadline_hours %q", v)
 		}
@@ -500,7 +290,7 @@ func parseAdvisorQuery(r *http.Request) (advisorQuery, error) {
 		out.deadline = &d
 	}
 	if v := q.Get("budget"); v != "" {
-		dollars, err := strconv.ParseFloat(v, 64)
+		dollars, err := parseFinite(v)
 		if err != nil || dollars < 0 {
 			return advisorQuery{}, fmt.Errorf("server: bad budget %q", v)
 		}
@@ -510,68 +300,15 @@ func parseAdvisorQuery(r *http.Request) (advisorQuery, error) {
 	return out, nil
 }
 
-// explore runs the advisor's provisioning sweep inside a worker slot.
-// The boolean reports success; on failure the response is written.
-func (s *Server) explore(w http.ResponseWriter, r *http.Request) (advisorQuery, []advisor.Option, bool) {
-	aq, err := parseAdvisorQuery(r)
-	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, err)
-		return advisorQuery{}, nil, false
+// parseFinite parses a numeric query value, rejecting NaN and ±Inf:
+// strconv.ParseFloat accepts both, and NaN slips past every ordering
+// guard, silently dropping the answer the caller asked for.
+func parseFinite(v string) (float64, error) {
+	f, err := strconv.ParseFloat(v, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("non-finite value %v", f)
 	}
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return advisorQuery{}, nil, false
-	}
-	defer release()
-	wf, err := s.wfCache.Generate(aq.spec)
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return advisorQuery{}, nil, false
-	}
-	opts, err := advisor.Explore(r.Context(), wf, aq.procs, aq.plan)
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return advisorQuery{}, nil, false
-	}
-	return aq, opts, true
-}
-
-func (s *Server) handleAdvisor(w http.ResponseWriter, r *http.Request) {
-	aq, opts, ok := s.explore(w, r)
-	if !ok {
-		return
-	}
-	spec, slack, deadline, budget := aq.spec, aq.slack, aq.deadline, aq.budget
-	resp := struct {
-		Workflow    string          `json:"workflow"`
-		Options     []advisorOption `json:"options"`
-		Pareto      []advisorOption `json:"pareto"`
-		Recommended *advisorOption  `json:"recommended,omitempty"`
-		Cheapest    *advisorOption  `json:"cheapest_within_deadline,omitempty"`
-		Fastest     *advisorOption  `json:"fastest_under_budget,omitempty"`
-	}{
-		Workflow: spec.Name,
-		Options:  toAdvisorOptions(opts),
-		Pareto:   toAdvisorOptions(advisor.ParetoFrontier(opts)),
-	}
-	if rec, err := advisor.Recommend(opts, slack); err == nil {
-		o := advisorOption{Processors: rec.Processors, CostDollars: rec.Cost.Dollars(), Hours: rec.Time.Hours()}
-		resp.Recommended = &o
-	}
-	if deadline != nil {
-		if o, err := advisor.CheapestWithin(opts, *deadline); err == nil {
-			d := advisorOption{Processors: o.Processors, CostDollars: o.Cost.Dollars(), Hours: o.Time.Hours()}
-			resp.Cheapest = &d
-		}
-	}
-	if budget != nil {
-		if o, err := advisor.FastestUnder(opts, *budget); err == nil {
-			d := advisorOption{Processors: o.Processors, CostDollars: o.Cost.Dollars(), Hours: o.Time.Hours()}
-			resp.Fastest = &d
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return f, err
 }
 
 // ---- GET /healthz and /metrics ----

@@ -1,13 +1,11 @@
 package server
 
-// The /v2 surface: every endpoint speaks the declarative ScenarioSpec
-// (wire.Scenario) instead of the flat v1 request.  /v2/run caches and
-// coalesces exactly like /v1/run (in a disjoint key space, since the
-// document shapes differ); /v2/sweep generalizes the fixed three-axis
-// v1 grid into any-scenario-path axes; /v2/advisor returns each
-// recommendation as a ready-to-POST scenario; and /v2/experiments
-// accepts experiment parameters -- including a full scenario grid -- as
-// a POST body.
+// The scenario endpoints: every one speaks the declarative ScenarioSpec
+// (wire.Scenario).  /v2/run caches and coalesces through the tier
+// chain; /v2/sweep streams any-scenario-path axis grids; /v2/advisor
+// returns each recommendation as a ready-to-POST scenario; and
+// /v2/experiments accepts experiment parameters -- including a full
+// scenario grid -- as a POST body.
 
 import (
 	"bytes"
@@ -47,7 +45,7 @@ func (s *Server) handleRunV2(w http.ResponseWriter, r *http.Request) {
 		s.serveTracedRun(w, r, spec, plan)
 		return
 	}
-	route := &tierRoute{relayed: r.Header.Get(shard.RelayHeader) != ""}
+	route := tierRoute{relayed: r.Header.Get(shard.RelayHeader) != ""}
 	if s.ring != nil && !route.relayed {
 		raw, err := json.Marshal(sc)
 		if err != nil {
@@ -308,8 +306,25 @@ type advisorChoiceV2 struct {
 }
 
 func (s *Server) handleAdvisorV2(w http.ResponseWriter, r *http.Request) {
-	aq, opts, ok := s.explore(w, r)
-	if !ok {
+	aq, err := parseAdvisorQuery(r)
+	if err != nil {
+		s.fail(w, r, http.StatusBadRequest, err)
+		return
+	}
+	release, err := s.admit(r.Context())
+	if err != nil {
+		s.fail(w, r, statusFor(err), err)
+		return
+	}
+	defer release()
+	wf, err := s.wfCache.Generate(aq.spec)
+	if err != nil {
+		s.fail(w, r, http.StatusInternalServerError, err)
+		return
+	}
+	opts, err := advisor.Explore(r.Context(), wf, aq.procs, aq.plan)
+	if err != nil {
+		s.fail(w, r, statusFor(err), err)
 		return
 	}
 	choice := func(o advisor.Option) *advisorChoiceV2 {

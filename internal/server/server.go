@@ -21,25 +21,19 @@
 //	                            ({"seed": ..., "grid": {...}})
 //	GET  /v2/advisor            provisioning recommendations, each one a
 //	                            ready-to-POST v2 scenario
-//	POST /v1/run                deprecated flat request; upgraded into a
-//	                            v2 scenario internally
-//	POST /v1/sweep              deprecated processors/modes/CCR grid
-//	GET  /v1/experiments        as /v2/experiments
-//	GET  /v1/experiments/{name} as GET /v2/experiments/{name}
-//	GET  /v1/advisor            deprecated advisor (no scenarios)
 //	GET  /healthz               liveness
 //	GET  /metrics               Prometheus text exposition
 //
 // Every simulation is a deterministic function of its (spec, plan)
 // pair, which buys three things at once: responses are cacheable (a
-// size-bounded LRU keyed by repro.CanonicalRunKey stores the marshaled
+// size-bounded LRU keyed by wire.CanonicalRunKeyV2 stores the marshaled
 // bytes, so a hit is byte-identical to a cold run); concurrent identical
 // requests coalesce singleflight-style into one simulation; and admitted
 // work runs on a bounded worker pool with per-request context
 // cancellation, so a client hanging up aborts its grid and SIGTERM
 // drains in-flight requests before the process exits.
 //
-// The same determinism extends the v2 cache beyond the process:
+// The same determinism extends the cache beyond the process:
 // Config.StoreDir adds a disk-backed content-addressed tier
 // (internal/store) that survives restarts, and Config.Peers shards the
 // key space across a replica pool on a consistent-hash ring
@@ -158,7 +152,7 @@ type Server struct {
 	self  string
 
 	// testHookPreSim, when set by tests in this package, runs inside the
-	// worker slot just before a /v1/run simulation starts.
+	// worker slot just before a /v2/run simulation starts.
 	testHookPreSim func()
 	// testHookSweepPoint, when set by tests in this package, runs before
 	// each sweep grid point simulates; returning an error fails that
@@ -215,11 +209,6 @@ func New(cfg Config) (*Server, error) {
 	// route is wrapped by instrument (request ID + counter + latency
 	// histogram + one structured log line).
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", s.instrument("run", s.handleRun))
-	mux.HandleFunc("POST /v1/sweep", s.instrument("sweep", s.handleSweep))
-	mux.HandleFunc("GET /v1/experiments", s.instrument("experiments", s.handleExperiments))
-	mux.HandleFunc("GET /v1/experiments/{name}", s.instrument("experiment", s.handleExperiment))
-	mux.HandleFunc("GET /v1/advisor", s.instrument("advisor", s.handleAdvisor))
 	mux.HandleFunc("POST /v2/run", s.instrument("run_v2", s.handleRunV2))
 	mux.HandleFunc("GET /v2/run", s.instrument("trace_v2", s.handleRunTraceV2))
 	mux.HandleFunc("POST /v2/sweep", s.instrument("sweep_v2", s.handleSweepV2))

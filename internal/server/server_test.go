@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/wire"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -29,19 +30,14 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
+// postRun POSTs one scenario document to /v2/run.
 func postRun(t *testing.T, ts *httptest.Server, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, b
+	return postJSON(t, ts.URL+"/v2/run", body)
 }
+
+// baseline is the paper's 1-degree baseline scenario.
+const baseline = `{"version":2,"workflow":{"name":"1deg"}}`
 
 func getBody(t *testing.T, url string) (*http.Response, []byte) {
 	t.Helper()
@@ -59,7 +55,7 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 
 func TestRunEndpointCachesRepeats(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := `{"workflow":"1deg","processors":4,"billing":"provisioned"}`
+	req := `{"version":2,"workflow":{"name":"1deg"},"fleet":{"processors":4},"pricing":{"billing":"provisioned"}}`
 
 	cold, coldBody := postRun(t, ts, req)
 	if cold.StatusCode != http.StatusOK {
@@ -79,11 +75,11 @@ func TestRunEndpointCachesRepeats(t *testing.T) {
 		t.Errorf("cached response differs from cold:\ncold: %s\nwarm: %s", coldBody, warmBody)
 	}
 
-	var doc repro.RunDocument
+	var doc wire.RunDocumentV2
 	if err := json.Unmarshal(coldBody, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Workflow != "montage-1deg" || doc.Tasks != 203 || doc.Plan.Processors != 4 {
+	if doc.Workflow != "montage-1deg" || doc.Tasks != 203 || doc.Scenario.Fleet == nil || doc.Scenario.Fleet.Processors != 4 {
 		t.Errorf("document = %+v", doc)
 	}
 
@@ -102,7 +98,7 @@ func TestRunCacheByteIdenticalAcrossGrid(t *testing.T) {
 	for _, workflow := range []string{"1deg", "2deg"} {
 		for _, mode := range []string{"remote-io", "regular", "cleanup"} {
 			for _, procs := range []int{0, 8} {
-				req := fmt.Sprintf(`{"workflow":%q,"mode":%q,"processors":%d}`, workflow, mode, procs)
+				req := fmt.Sprintf(`{"version":2,"workflow":{"name":%q},"storage":{"mode":%q},"fleet":{"processors":%d}}`, workflow, mode, procs)
 				cold, coldBody := postRun(t, ts, req)
 				warm, warmBody := postRun(t, ts, req)
 				if cold.StatusCode != http.StatusOK || warm.StatusCode != http.StatusOK {
@@ -120,13 +116,13 @@ func TestRunCacheByteIdenticalAcrossGrid(t *testing.T) {
 }
 
 // TestRunSpotMixedFleet is the spot wire acceptance test: a seeded
-// mixed-fleet request is served byte-identical to the library's own
+// mixed-fleet scenario is served byte-identical to the library's own
 // document (the same document montagesim -json prints), is cached under
 // a key distinct from its on-demand twin, and reports utilization
 // against integrated available capacity rather than the static pool.
 func TestRunSpotMixedFleet(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	req := `{"workflow":"1deg","processors":16,"spot":{"rate_per_hour":1.5,"seed":7,"discount":0.65,"on_demand_processors":4,"checkpoint_seconds":300,"checkpoint_overhead_seconds":10}}`
+	req := `{"version":2,"workflow":{"name":"1deg"},"fleet":{"processors":16,"reliable":4},"spot":{"rate_per_hour":1.5,"seed":7,"discount":0.65},"recovery":{"checkpoint_seconds":300,"checkpoint_overhead_seconds":10}}`
 
 	cold, coldBody := postRun(t, ts, req)
 	if cold.StatusCode != http.StatusOK {
@@ -134,11 +130,11 @@ func TestRunSpotMixedFleet(t *testing.T) {
 	}
 	// Byte identity with the offline path: resolve, run, encode exactly
 	// as montagesim -json does.
-	var wireReq repro.RunRequest
-	if err := json.Unmarshal([]byte(req), &wireReq); err != nil {
+	var sc wire.Scenario
+	if err := wire.DecodeStrict(strings.NewReader(req), &sc); err != nil {
 		t.Fatal(err)
 	}
-	spec, plan, err := wireReq.Resolve()
+	spec, plan, err := sc.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +146,7 @@ func TestRunSpotMixedFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := repro.NewRunDocument(res).Encode()
+	want, err := wire.NewRunDocumentV2(spec, res).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +156,7 @@ func TestRunSpotMixedFleet(t *testing.T) {
 
 	// The on-demand twin (same workflow, same pool, no spot knobs) must
 	// miss the cache: distinct plans, distinct keys.
-	twin, twinBody := postRun(t, ts, `{"workflow":"1deg","processors":16}`)
+	twin, twinBody := postRun(t, ts, `{"version":2,"workflow":{"name":"1deg"},"fleet":{"processors":16}}`)
 	if twin.StatusCode != http.StatusOK {
 		t.Fatalf("twin status %d", twin.StatusCode)
 	}
@@ -179,13 +175,15 @@ func TestRunSpotMixedFleet(t *testing.T) {
 		t.Error("cached spot body differs from cold")
 	}
 
-	var doc repro.RunDocument
+	var doc wire.RunDocumentV2
 	if err := json.Unmarshal(coldBody, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Plan.Spot == nil || doc.Plan.Spot.RatePerHour != 1.5 || doc.Plan.Spot.OnDemandProcessors != 4 ||
-		doc.Plan.Spot.WarningSeconds != 120 || doc.Plan.Spot.CheckpointSeconds != 300 {
-		t.Errorf("spot plan did not round-trip: %+v", doc.Plan.Spot)
+	echo := doc.Scenario
+	if echo.Spot == nil || echo.Spot.RatePerHour != 1.5 || echo.Spot.WarningSeconds != 120 ||
+		echo.Fleet == nil || echo.Fleet.Reliable != 4 ||
+		echo.Recovery == nil || echo.Recovery.CheckpointSeconds != 300 {
+		t.Errorf("spot scenario did not round-trip: %+v / %+v / %+v", echo.Spot, echo.Fleet, echo.Recovery)
 	}
 	m := doc.Metrics
 	if m.Preempted == 0 {
@@ -216,8 +214,8 @@ func TestRunCoalescesConcurrentIdenticalRequests(t *testing.T) {
 	for i := 0; i < herd; i++ {
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/run", "application/json",
-				strings.NewReader(`{"workflow":"1deg","processors":2}`))
+			resp, err := http.Post(ts.URL+"/v2/run", "application/json",
+				strings.NewReader(`{"version":2,"workflow":{"name":"1deg"},"fleet":{"processors":2}}`))
 			if err != nil {
 				t.Error(err)
 				return
@@ -273,12 +271,12 @@ func TestAdmissionQueueRejectsOverflow(t *testing.T) {
 	errs := make([]error, 2)
 	// A holds the only worker slot; B waits in the queue.
 	for i, body := range []string{
-		`{"workflow":"1deg","processors":1}`,
-		`{"workflow":"1deg","processors":2}`,
+		`{"version":2,"workflow":{"name":"1deg"},"fleet":{"processors":1}}`,
+		`{"version":2,"workflow":{"name":"1deg"},"fleet":{"processors":2}}`,
 	} {
 		go func(i int, body string) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(body))
+			resp, err := http.Post(ts.URL+"/v2/run", "application/json", strings.NewReader(body))
 			if err != nil {
 				errs[i] = err
 				return
@@ -301,7 +299,7 @@ func TestAdmissionQueueRejectsOverflow(t *testing.T) {
 		}
 	}
 	// C overflows the queue and must be refused immediately.
-	resp, body := postRun(t, ts, `{"workflow":"1deg","processors":3}`)
+	resp, body := postRun(t, ts, `{"version":2,"workflow":{"name":"1deg"},"fleet":{"processors":3}}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("overflow status = %d, want 503 (%s)", resp.StatusCode, body)
 	}
@@ -317,43 +315,45 @@ func TestAdmissionQueueRejectsOverflow(t *testing.T) {
 	}
 }
 
-func TestSweepStreamsNDJSONInGridOrder(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
-		strings.NewReader(`{"workflow":"1deg","billing":"provisioned","processors":[1,2,4]}`))
-	if err != nil {
+// processorSweep is a /v2/sweep body whose grid is three provisioned
+// 1-degree runs on 1, 2 and 4 processors.
+const processorSweep = `{"scenario":{"version":2,"workflow":{"name":"1deg"},"pricing":{"billing":"provisioned"}},` +
+	`"axes":[{"axis":"fleet.processors","values":[1,2,4]}]}`
+
+// readSweep POSTs a sweep and decodes its NDJSON envelopes, failing on
+// any line that is not one.
+func readSweep(t *testing.T, ts *httptest.Server, body string) (*http.Response, []wire.SweepEnvelope) {
+	t.Helper()
+	resp, raw := postJSON(t, ts.URL+"/v2/sweep", body)
+	var envs []wire.SweepEnvelope
+	sc := bufio.NewScanner(bytes.NewReader(raw))
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var e wire.SweepEnvelope
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			t.Fatalf("line %d: %v: %s", len(envs), err, sc.Text())
+		}
+		envs = append(envs, e)
+	}
+	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	return resp, envs
+}
+
+func TestSweepStreamsNDJSONInGridOrder(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, envs := readSweep(t, ts, processorSweep)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	type row struct {
-		Index int `json:"index"`
-		Plan  struct {
-			Processors int `json:"processors"`
-		} `json:"plan"`
-	}
-	type envelope struct {
-		Row  *row `json:"row"`
-		Done *struct {
-			Rows int `json:"rows"`
-		} `json:"done"`
-		Error string `json:"error"`
-	}
 	wantProcs := []int{1, 2, 4}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var rows int
 	var done bool
-	for sc.Scan() {
-		var e envelope
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("line %d: %v: %s", rows, err, sc.Text())
-		}
+	for _, e := range envs {
 		switch {
 		case e.Row != nil:
 			if done {
@@ -362,8 +362,8 @@ func TestSweepStreamsNDJSONInGridOrder(t *testing.T) {
 			if e.Row.Index != rows {
 				t.Errorf("row %d has index %d: rows out of grid order", rows, e.Row.Index)
 			}
-			if e.Row.Plan.Processors != wantProcs[rows] {
-				t.Errorf("row %d ran %d processors, want %d", rows, e.Row.Plan.Processors, wantProcs[rows])
+			if f := e.Row.Scenario.Fleet; f == nil || f.Processors != wantProcs[rows] {
+				t.Errorf("row %d ran fleet %+v, want %d processors", rows, f, wantProcs[rows])
 			}
 			rows++
 		case e.Done != nil:
@@ -372,11 +372,8 @@ func TestSweepStreamsNDJSONInGridOrder(t *testing.T) {
 				t.Errorf("done sentinel counts %d rows, want %d", e.Done.Rows, len(wantProcs))
 			}
 		default:
-			t.Errorf("line is neither row nor done: %s", sc.Text())
+			t.Errorf("line is neither row nor done: %+v", e)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	if rows != len(wantProcs) {
 		t.Errorf("got %d rows, want %d", rows, len(wantProcs))
@@ -398,32 +395,16 @@ func TestSweepMidStreamFailureEmitsErrorEnvelope(t *testing.T) {
 		}
 		return nil
 	}
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
-		strings.NewReader(`{"workflow":"1deg","billing":"provisioned","processors":[1,2,4]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp, envs := readSweep(t, ts, processorSweep)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d; the failure was supposed to hit mid-stream", resp.StatusCode)
 	}
-	type envelope struct {
-		Row   *json.RawMessage `json:"row"`
-		Done  *json.RawMessage `json:"done"`
-		Error string           `json:"error"`
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var rows int
 	var sawError bool
-	for sc.Scan() {
-		var e envelope
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("unparseable line: %v: %s", err, sc.Text())
-		}
+	for _, e := range envs {
 		switch {
 		case sawError:
-			t.Errorf("line after the terminal error envelope: %s", sc.Text())
+			t.Errorf("line after the terminal error envelope: %+v", e)
 		case e.Row != nil:
 			rows++
 		case e.Error != "":
@@ -435,9 +416,6 @@ func TestSweepMidStreamFailureEmitsErrorEnvelope(t *testing.T) {
 			t.Error("done sentinel on a failed sweep")
 		}
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
 	if rows != 2 {
 		t.Errorf("streamed %d rows before the failure, want 2", rows)
 	}
@@ -448,39 +426,19 @@ func TestSweepMidStreamFailureEmitsErrorEnvelope(t *testing.T) {
 
 func TestSweepModeAndCCRAxes(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
-		strings.NewReader(`{"workflow":"1deg","modes":["regular","cleanup"],"ccrs":[0.1]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	type row struct {
-		Index int     `json:"index"`
-		CCR   float64 `json:"ccr"`
-		Plan  struct {
-			Mode string `json:"mode"`
-		} `json:"plan"`
-	}
-	type envelope struct {
-		Row *row `json:"row"`
-	}
+	_, envs := readSweep(t, ts, `{"scenario":{"version":2,"workflow":{"name":"1deg"}},`+
+		`"axes":[{"axis":"storage.mode","values":["regular","cleanup"]},{"axis":"workflow.ccr","values":[0.1]}]}`)
 	wantModes := []string{"regular", "cleanup"}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var rows int
-	for sc.Scan() {
-		var e envelope
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatal(err)
-		}
+	for _, e := range envs {
 		if e.Row == nil {
 			continue // terminal sentinel
 		}
-		if e.Row.CCR != 0.1 {
-			t.Errorf("row %d ccr = %v", rows, e.Row.CCR)
+		if ccr := e.Row.Scenario.Workflow.CCR; ccr != 0.1 {
+			t.Errorf("row %d ccr = %v", rows, ccr)
 		}
-		if e.Row.Plan.Mode != wantModes[rows] {
-			t.Errorf("row %d mode = %q, want %q", rows, e.Row.Plan.Mode, wantModes[rows])
+		if st := e.Row.Scenario.Storage; st == nil || st.Mode != wantModes[rows] {
+			t.Errorf("row %d storage = %+v, want mode %q", rows, st, wantModes[rows])
 		}
 		rows++
 	}
@@ -491,7 +449,7 @@ func TestSweepModeAndCCRAxes(t *testing.T) {
 
 func TestExperimentsEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := getBody(t, ts.URL+"/v1/experiments")
+	resp, body := getBody(t, ts.URL+"/v2/experiments")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("list status %d", resp.StatusCode)
 	}
@@ -512,7 +470,7 @@ func TestExperimentsEndpoints(t *testing.T) {
 		}
 	}
 
-	resp, body = getBody(t, ts.URL+"/v1/experiments/ccr-table")
+	resp, body = getBody(t, ts.URL+"/v2/experiments/ccr-table")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ccr-table status %d: %s", resp.StatusCode, body)
 	}
@@ -530,12 +488,12 @@ func TestExperimentsEndpoints(t *testing.T) {
 		t.Errorf("ccr-table response = %+v", run)
 	}
 
-	resp, _ = getBody(t, ts.URL+"/v1/experiments/no-such-figure")
+	resp, _ = getBody(t, ts.URL+"/v2/experiments/no-such-figure")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown experiment status = %d, want 404", resp.StatusCode)
 	}
 
-	resp, _ = getBody(t, ts.URL+"/v1/experiments/ccr-table?seed=nope")
+	resp, _ = getBody(t, ts.URL+"/v2/experiments/ccr-table?seed=nope")
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad seed status = %d, want 400", resp.StatusCode)
 	}
@@ -543,7 +501,7 @@ func TestExperimentsEndpoints(t *testing.T) {
 
 func TestAdvisorEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp, body := getBody(t, ts.URL+"/v1/advisor?workflow=1deg&processors=1,2,4&slack=0.5")
+	resp, body := getBody(t, ts.URL+"/v2/advisor?workflow=1deg&processors=1,2,4&slack=0.5")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
@@ -565,19 +523,43 @@ func TestAdvisorEndpoint(t *testing.T) {
 		t.Errorf("advisor gave no recommendation: %s", body)
 	}
 
-	resp, _ = getBody(t, ts.URL+"/v1/advisor")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("missing workflow status = %d, want 400", resp.StatusCode)
+	// Every malformed parameter is a 400 before any sweep runs.  NaN and
+	// Inf parse as floats, and NaN passes every ordering guard, so
+	// without an explicit finiteness check they would silently drop the
+	// answer the caller asked for.
+	for name, query := range map[string]string{
+		"missing workflow":     "",
+		"unknown workflow":     "?workflow=9deg",
+		"bad mode":             "?workflow=1deg&mode=sideways",
+		"bad processors":       "?workflow=1deg&processors=0,2",
+		"negative slack":       "?workflow=1deg&slack=-1",
+		"NaN slack":            "?workflow=1deg&slack=NaN",
+		"Inf slack":            "?workflow=1deg&slack=Inf",
+		"zero deadline":        "?workflow=1deg&deadline_hours=0",
+		"NaN deadline":         "?workflow=1deg&deadline_hours=NaN",
+		"Inf deadline":         "?workflow=1deg&deadline_hours=Inf",
+		"negative budget":      "?workflow=1deg&budget=-1",
+		"NaN budget":           "?workflow=1deg&budget=NaN",
+		"negative Inf budget":  "?workflow=1deg&budget=-Inf",
+		"Inf budget":           "?workflow=1deg&budget=Inf",
+		"unparseable deadline": "?workflow=1deg&deadline_hours=soon",
+	} {
+		resp, body := getBody(t, ts.URL+"/v2/advisor"+query)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, body)
+		}
 	}
 }
 
-func TestBadRunRequests(t *testing.T) {
+func TestRunRejectsBadBodies(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, body := range map[string]string{
 		"garbage":          `{not json`,
-		"unknown workflow": `{"workflow":"9deg"}`,
-		"no selector":      `{}`,
-		"bad mode":         `{"workflow":"1deg","mode":"sideways"}`,
+		"unknown workflow": `{"version":2,"workflow":{"name":"9deg"}}`,
+		"no selector":      `{"version":2,"workflow":{}}`,
+		"bad mode":         `{"version":2,"workflow":{"name":"1deg"},"storage":{"mode":"sideways"}}`,
+		"no version":       `{"workflow":{"name":"1deg"}}`,
+		"flat request":     `{"workflow":"1deg","processors":4}`,
 	} {
 		resp, _ := postRun(t, ts, body)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -596,11 +578,11 @@ func TestHealthz(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	postRun(t, ts, `{"workflow":"1deg"}`)
-	postRun(t, ts, `{"workflow":"1deg"}`)
+	postRun(t, ts, baseline)
+	postRun(t, ts, baseline)
 	_, body := getBody(t, ts.URL+"/metrics")
 	for _, want := range []string{
-		`reprosrv_requests_total{endpoint="run"} 2`,
+		`reprosrv_requests_total{endpoint="run_v2"} 2`,
 		"reprosrv_simulations_total 1",
 		"reprosrv_result_cache_hits_total 1",
 		"reprosrv_result_cache_misses_total 1",
@@ -621,7 +603,7 @@ func TestMetricsExposition(t *testing.T) {
 // the right semantics.
 func TestMetricsPrometheusConformance(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	postRun(t, ts, `{"workflow":"1deg"}`)
+	postRun(t, ts, baseline)
 	_, body := getBody(t, ts.URL+"/metrics")
 
 	helps := map[string]bool{}
@@ -726,8 +708,8 @@ func TestServeDrainsInflightRequests(t *testing.T) {
 	var body []byte
 	go func() {
 		defer close(reqDone)
-		resp, err := http.Post("http://"+l.Addr().String()+"/v1/run", "application/json",
-			strings.NewReader(`{"workflow":"1deg"}`))
+		resp, err := http.Post("http://"+l.Addr().String()+"/v2/run", "application/json",
+			strings.NewReader(baseline))
 		if err != nil {
 			t.Error(err)
 			return
@@ -762,7 +744,7 @@ func TestServeDrainsInflightRequests(t *testing.T) {
 	if status != http.StatusOK {
 		t.Errorf("in-flight request finished with %d: %s", status, body)
 	}
-	var doc repro.RunDocument
+	var doc wire.RunDocumentV2
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Errorf("drained response unparseable: %v", err)
 	}

@@ -217,7 +217,7 @@ func TestRequestIDHeader(t *testing.T) {
 // TestHealthzEnriched checks the health document's operational fields.
 func TestHealthzEnriched(t *testing.T) {
 	_, ts := newTestServer(t, Config{CacheEntries: 7, WorkflowCacheEntries: 3})
-	postRun(t, ts, `{"workflow":"1deg"}`)
+	postRun(t, ts, baseline)
 	_, body := getBody(t, ts.URL+"/healthz")
 	var h struct {
 		Status        string  `json:"status"`
@@ -256,8 +256,8 @@ func TestMetricsFamilyOrderStable(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// Touch endpoints in an order unlike the sorted one.
 	getBody(t, ts.URL+"/healthz")
-	postRun(t, ts, `{"workflow":"1deg"}`)
-	getBody(t, ts.URL+"/v1/experiments")
+	postRun(t, ts, baseline)
+	getBody(t, ts.URL+"/v2/experiments")
 
 	familyOrder := func(body []byte) []string {
 		var names []string
@@ -289,13 +289,13 @@ func TestMetricsFamilyOrderStable(t *testing.T) {
 // samples for an endpoint that served a request.
 func TestMetricsLatencyHistogram(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	postRun(t, ts, `{"workflow":"1deg"}`)
+	postRun(t, ts, baseline)
 	_, body := getBody(t, ts.URL+"/metrics")
 	for _, want := range []string{
 		`# TYPE reprosrv_request_duration_seconds histogram`,
-		`reprosrv_request_duration_seconds_bucket{endpoint="run",le="+Inf"} 1`,
-		`reprosrv_request_duration_seconds_count{endpoint="run"} 1`,
-		`reprosrv_request_duration_seconds_sum{endpoint="run"}`,
+		`reprosrv_request_duration_seconds_bucket{endpoint="run_v2",le="+Inf"} 1`,
+		`reprosrv_request_duration_seconds_count{endpoint="run_v2"} 1`,
+		`reprosrv_request_duration_seconds_sum{endpoint="run_v2"}`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q", want)

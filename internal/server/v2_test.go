@@ -93,26 +93,6 @@ func TestRunV2EchoesScenarioAndCaches(t *testing.T) {
 	}
 }
 
-// TestRunV1AndV2CacheSpacesDisjoint: the same resolved run cached under
-// /v1 must never be served on /v2 (the document shapes differ).
-func TestRunV1AndV2CacheSpacesDisjoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	if resp, body := postRun(t, ts, `{"workflow":"1deg","processors":4}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("v1 run: %d %s", resp.StatusCode, body)
-	}
-	resp, body := postJSON(t, ts.URL+"/v2/run", `{"version":2,"workflow":{"name":"1deg"},"fleet":{"processors":4}}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("v2 run: %d %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("X-Cache") != "miss" {
-		t.Error("v2 request hit the v1 cache entry")
-	}
-	var doc wire.RunDocumentV2
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("v2 body is not a v2 document: %v", err)
-	}
-}
-
 func TestSweepV2SpotAxis(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := `{
@@ -199,9 +179,6 @@ func TestSweepV2RejectsMalformedGrids(t *testing.T) {
 func TestPostBodiesRejectUnknownFields(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for name, tc := range map[string]struct{ path, body string }{
-		"v1 run top-level": {"/v1/run", `{"workflow":"1deg","procesors":4}`},
-		"v1 run spot":      {"/v1/run", `{"workflow":"1deg","spot":{"rate":1}}`},
-		"v1 sweep":         {"/v1/sweep", `{"workflow":"1deg","procs":[1,2]}`},
 		"v2 run top-level": {"/v2/run", `{"version":2,"workflow":{"name":"1deg"},"fleets":{}}`},
 		"v2 run nested":    {"/v2/run", `{"version":2,"workflow":{"name":"1deg"},"spot":{"rate":1}}`},
 		"v2 sweep":         {"/v2/sweep", `{"scenario":{"version":2,"workflow":{"name":"1deg"}},"grid":[]}`},

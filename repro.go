@@ -32,14 +32,13 @@
 //
 // # The wire layer
 //
-// The versioned wire layer lives in package repro/wire: the flat v1
-// RunRequest/RunDocument (aliased here for compatibility), the
-// declarative v2 Scenario document with its any-axis sweep grids, and
-// the canonical cache keys.  cmd/reprosrv serves both versions over
-// HTTP (with result caching and request coalescing, possible precisely
-// because every simulation is a deterministic function of its spec and
-// plan), and montagesim -json / -scenario emit the identical documents
-// for offline diffing.
+// The versioned wire layer lives in package repro/wire: the declarative
+// v2 Scenario document with its any-axis sweep grids, the RunDocumentV2
+// result document, and the canonical cache key.  cmd/reprosrv serves it
+// over HTTP (with result caching and request coalescing, possible
+// precisely because every simulation is a deterministic function of its
+// spec and plan), and montagesim -run/-scenario -json emit the identical
+// documents for offline diffing.
 package repro
 
 import (

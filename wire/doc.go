@@ -9,81 +9,7 @@ import (
 	"repro/internal/units"
 )
 
-// ---- v1 result documents (frozen) ----
-
-// PlanDocument is the v1 wire form of the plan a run executed under.
-type PlanDocument struct {
-	Mode          string            `json:"mode"`
-	Processors    int               `json:"processors"`
-	Billing       string            `json:"billing"`
-	BandwidthMbps float64           `json:"bandwidth_mbps"`
-	Spot          *SpotPlanDocument `json:"spot,omitempty"`
-}
-
-// SpotPlanDocument is the v1 wire form of the spot scenario a run
-// executed under, echoed back so a caller can verify every knob
-// round-tripped.
-type SpotPlanDocument struct {
-	RatePerHour               float64 `json:"rate_per_hour"`
-	WarningSeconds            float64 `json:"warning_seconds"`
-	DowntimeSeconds           float64 `json:"downtime_seconds"`
-	Seed                      int64   `json:"seed"`
-	Discount                  float64 `json:"discount"`
-	OnDemandProcessors        int     `json:"on_demand_processors"`
-	CheckpointSeconds         float64 `json:"checkpoint_seconds,omitempty"`
-	CheckpointOverheadSeconds float64 `json:"checkpoint_overhead_seconds,omitempty"`
-}
-
-// RunDocument is the v1 machine-readable result of one simulation: the
-// document POST /v1/run returns and montagesim -run -json prints.
-//
-// Deprecated: /v2/run returns RunDocumentV2, which echoes the full
-// normalized scenario and splits utilization by sub-pool.
-type RunDocument struct {
-	Workflow string         `json:"workflow"`
-	Tasks    int            `json:"tasks"`
-	Plan     PlanDocument   `json:"plan"`
-	Metrics  exec.Metrics   `json:"metrics"`
-	Cost     cost.Breakdown `json:"cost"`
-	Total    units.Money    `json:"total"`
-}
-
-// NewRunDocument builds the v1 wire document for a finished run.
-func NewRunDocument(res core.Result) RunDocument {
-	p := res.Plan.Canonical()
-	doc := RunDocument{
-		Workflow: res.Metrics.Workflow,
-		Tasks:    res.Metrics.TasksRun,
-		Plan: PlanDocument{
-			Mode:          p.Mode.String(),
-			Processors:    p.Processors,
-			Billing:       p.Billing.String(),
-			BandwidthMbps: p.Bandwidth.BytesPerSecond() * 8 / 1e6,
-		},
-		Metrics: res.Metrics,
-		Cost:    res.Cost,
-		Total:   res.Cost.Total(),
-	}
-	if p.Spot.Enabled() || p.Recovery.Checkpoint {
-		doc.Plan.Spot = &SpotPlanDocument{
-			RatePerHour:               p.Spot.RatePerHour,
-			WarningSeconds:            p.Spot.Warning.Seconds(),
-			DowntimeSeconds:           p.Spot.Downtime.Seconds(),
-			Seed:                      p.Spot.Seed,
-			Discount:                  p.Spot.Discount,
-			OnDemandProcessors:        p.Spot.OnDemand,
-			CheckpointSeconds:         p.Recovery.Interval.Seconds(),
-			CheckpointOverheadSeconds: p.Recovery.Overhead.Seconds(),
-		}
-	}
-	return doc
-}
-
-// Encode renders the document in the canonical wire encoding:
-// two-space-indented JSON with a trailing newline.
-func (d RunDocument) Encode() ([]byte, error) { return encode(d) }
-
-// ---- v2 result documents ----
+// ---- run documents ----
 
 // UtilizationDocument splits CPU utilization by sub-pool: consumption
 // over the capacity that was actually available in each, the numbers a
@@ -99,9 +25,9 @@ type UtilizationDocument struct {
 	Spot float64 `json:"spot"`
 }
 
-// RunDocumentV2 is the v2 machine-readable result of one simulation:
-// the document POST /v2/run returns and montagesim -scenario -json
-// prints.  Scenario is the canonical (defaults filled) form of the
+// RunDocumentV2 is the machine-readable result of one simulation: the
+// document POST /v2/run returns and montagesim -run/-scenario -json
+// print.  Scenario is the canonical (defaults filled) form of the
 // request, so a response can be re-POSTed or diffed against the input.
 type RunDocumentV2 struct {
 	Version     int                 `json:"version"`
@@ -170,9 +96,9 @@ func ratio(num, den float64) float64 {
 	return num / den
 }
 
-// ---- v2 sweep stream ----
+// ---- sweep stream ----
 
-// SweepRow is one grid point's result within a v2 sweep stream: the
+// SweepRow is one grid point's result within a sweep stream: the
 // grid index plus the full run document (whose Scenario field is this
 // point's materialized scenario).
 type SweepRow struct {
@@ -186,7 +112,7 @@ type SweepDone struct {
 	Rows int `json:"rows"`
 }
 
-// SweepEnvelope is one NDJSON line of a v2 sweep response.  Exactly one
+// SweepEnvelope is one NDJSON line of a sweep response.  Exactly one
 // field is set, so a client can always tell what it is reading:
 //
 //	{"row": {...}}          one grid point, in grid order
@@ -202,7 +128,7 @@ type SweepEnvelope struct {
 	Error string     `json:"error,omitempty"`
 }
 
-// ---- v2 trace stream ----
+// ---- trace stream ----
 
 // TraceDone is the terminal line of a trace stream: the event count,
 // how many events the recorder's bound dropped, the critical-path

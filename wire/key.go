@@ -10,20 +10,24 @@ import (
 	"repro/internal/montage"
 )
 
-// CanonicalRunKey derives a stable cache key for a (spec, plan) pair.
-// Simulations are deterministic functions of exactly these two values,
-// so equal keys guarantee byte-identical result documents; the server's
-// result cache and request coalescing both key on it.
+// CanonicalRunKeyV2 derives the stable cache key of a resolved
+// scenario's (spec, plan) pair.  Simulations are deterministic functions
+// of exactly these two values, so equal keys guarantee byte-identical
+// result documents; the server's result cache, request coalescing, disk
+// store and shard ring all key on it.
 //
 // The encoding is explicit and field-by-field -- no reflective %#v,
 // whose output silently collapses distinct values (and drifts across Go
-// versions).  Every Plan field must appear here; the field-count guards
-// in key_test.go fail the build of any Plan, Spec, SpotPlan, Recovery
-// or Pricing change that forgets to extend the key.
-func CanonicalRunKey(spec montage.Spec, plan core.Plan) string {
+// versions).  Every Plan field must appear here or carry a
+// //repro:nokey annotation; TestCanonicalRunKeyCoverage and the
+// keycomplete analyzer fail any Plan, Spec, SpotPlan, Recovery, Pricing
+// or Bundle change that forgets to extend the key.  The "v2|" prefix
+// and every byte after it are the addresses of stored entries, so the
+// output must never change without bumping the store's wire version.
+func CanonicalRunKeyV2(spec montage.Spec, plan core.Plan) string {
 	p := plan.Canonical()
 	var b strings.Builder
-	fmt.Fprintf(&b, "spec{name=%q deg=%g img=%d diff=%d cpu=%g mosaic=%d ccr=%g bw=%g seed=%d}",
+	fmt.Fprintf(&b, "v2|spec{name=%q deg=%g img=%d diff=%d cpu=%g mosaic=%d ccr=%g bw=%g seed=%d}",
 		spec.Name, spec.Degrees, spec.Images, spec.Diffs, float64(spec.TotalCPU),
 		int64(spec.MosaicBytes), spec.TargetCCR, spec.Bandwidth.BytesPerSecond(), spec.Seed)
 	fmt.Fprintf(&b, "|plan{mode=%s procs=%d billing=%s bw=%g curve=%t vmstart=%g policy=%s failp=%g fails=%d",
@@ -48,15 +52,6 @@ func CanonicalRunKey(spec montage.Spec, plan core.Plan) string {
 	fmt.Fprintf(&b, " policies{place=%s victim=%s ckpt=%s size=%s}}",
 		p.Policies.Placement, p.Policies.Victim, p.Policies.Checkpoint, p.Policies.Sizing)
 	return b.String()
-}
-
-// CanonicalRunKeyV2 is the cache key of the v2 surface.  The same
-// (spec, plan) resolves under both surfaces, but the marshaled response
-// bodies differ (v1 and v2 documents have different shapes), so the two
-// key spaces must never collide -- the version prefix keeps a cached v1
-// body from ever being served on /v2/run or vice versa.
-func CanonicalRunKeyV2(spec montage.Spec, plan core.Plan) string {
-	return "v2|" + CanonicalRunKey(spec, plan)
 }
 
 // KeyHash is the content address of a canonical run key: its SHA-256,

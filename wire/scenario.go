@@ -393,8 +393,9 @@ func (s Scenario) Resolve() (montage.Spec, core.Plan, error) {
 	return spec, plan.Canonical(), nil
 }
 
-// roundDegrees matches the seed used by the v1 request for custom
-// mosaics, keeping upgraded requests spec-identical.
+// roundDegrees is a custom mosaic's generation seed: its size rounded
+// to whole degrees.  Resolve and EchoScenario both derive it, so the
+// echo of a custom run resolves to the same spec.
 func roundDegrees(d float64) float64 {
 	if d < 0 {
 		return 0

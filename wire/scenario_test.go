@@ -27,6 +27,68 @@ func TestScenarioResolveBaseline(t *testing.T) {
 	}
 }
 
+// TestScenarioResolvePresets: every preset, and the full-name alias,
+// resolves to its mosaic with the paper's baseline plan.
+func TestScenarioResolvePresets(t *testing.T) {
+	for _, tc := range []struct {
+		workflow string
+		spec     string
+	}{{"1deg", "montage-1deg"}, {"2deg", "montage-2deg"}, {"4deg", "montage-4deg"}, {"montage-1deg", "montage-1deg"}} {
+		spec, plan, err := Scenario{Version: 2, Workflow: WorkflowSection{Name: tc.workflow}}.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.workflow, err)
+		}
+		if spec.Name != tc.spec {
+			t.Errorf("%s resolved to %s", tc.workflow, spec.Name)
+		}
+		if plan.Billing != core.OnDemand || plan.Mode != datamgmt.Regular {
+			t.Errorf("%s: defaults not applied: %+v", tc.workflow, plan)
+		}
+		if plan.Bandwidth != units.Mbps(10) {
+			t.Errorf("%s: bandwidth default %v, want 10 Mbps", tc.workflow, plan.Bandwidth)
+		}
+	}
+}
+
+func TestScenarioResolveCustomDegrees(t *testing.T) {
+	spec, _, err := Scenario{Version: 2, Workflow: WorkflowSection{Degrees: 3}}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(spec.Name, "3deg") {
+		t.Errorf("custom spec named %q", spec.Name)
+	}
+}
+
+// TestScenarioResolveDegreesBounds pins the degrees validation: a
+// negative size must be called out as such, not fall through to the
+// misleading "selects no workflow" error, and the cap is inclusive.
+func TestScenarioResolveDegreesBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		degrees float64
+		wantErr string
+	}{
+		{"negative", -2, "negative degrees"},
+		{"zero", 0, "selects no workflow"},
+		{"over cap", 21, "exceeds the 20-degree request limit"},
+		{"at cap", 20, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := Scenario{Version: 2, Workflow: WorkflowSection{Degrees: tc.degrees}}.Resolve()
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("degrees %v rejected: %v", tc.degrees, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("degrees %v error = %v, want %q", tc.degrees, err, tc.wantErr)
+			}
+		})
+	}
+}
+
 func TestScenarioResolveVersionGate(t *testing.T) {
 	for _, v := range []int{0, 1, 3} {
 		if _, _, err := (Scenario{Version: v, Workflow: WorkflowSection{Name: "1deg"}}).Resolve(); err == nil {

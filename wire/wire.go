@@ -1,20 +1,15 @@
 // Package wire is the versioned wire layer of the simulator: the JSON
 // request and result documents a service (or a CLI talking to one)
-// exchanges with the simulation engine, plus the canonical cache keys
-// that make deterministic simulations cacheable.
+// exchanges with the simulation engine, plus the canonical cache key
+// that makes deterministic simulations cacheable.
 //
-// Two schema versions live here:
+// The request schema is the declarative v2 Scenario: one versioned
+// document with nested workflow, fleet, storage, pricing, spot,
+// recovery and policies sections.  It resolves to a (spec, plan) pair,
+// runs into a RunDocumentV2 that echoes the normalized scenario back,
+// and keys the cache through CanonicalRunKeyV2.
 //
-//   - v1 (RunRequest/RunDocument) is the original flat request: one bag
-//     of top-level knobs with a bolted-on spot sub-object.  It is frozen
-//     and deprecated; /v1 endpoints keep serving it as thin adapters.
-//   - v2 (Scenario/RunDocumentV2) is the declarative ScenarioSpec: one
-//     versioned document with nested workflow, fleet, storage, pricing,
-//     spot and recovery sections.  Every v1 request upgrades losslessly
-//     into a v2 scenario (RunRequest.Scenario), and v1 resolution is
-//     implemented by that upgrade, so the two surfaces cannot drift.
-//
-// The v2 document is also the sweep substrate: SweepRequest declares a
+// The scenario is also the sweep substrate: SweepRequest declares a
 // grid as {axis: <any scenario path>, values: [...]} pairs, so any
 // field of the scenario -- a spot revocation rate, a fleet split, a
 // checkpoint interval, a pricing rate -- is sweepable without new
