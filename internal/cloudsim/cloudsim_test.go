@@ -9,14 +9,15 @@ import (
 )
 
 func TestStorageByteSeconds(t *testing.T) {
-	s := NewStorage(true)
-	if err := s.Put(0, "a", 100); err != nil {
+	s := NewStorage(2, true)
+	const a, b = 0, 1
+	if err := s.Put(0, a, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(10, "b", 50); err != nil {
+	if err := s.Put(10, b, 50); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(20, "a"); err != nil {
+	if err := s.Delete(20, a); err != nil {
 		t.Fatal(err)
 	}
 	// [0,10): 100 B; [10,20): 150 B; [20,30): 50 B.
@@ -31,7 +32,7 @@ func TestStorageByteSeconds(t *testing.T) {
 	if s.Current() != 50 {
 		t.Errorf("Current = %d, want 50", s.Current())
 	}
-	if s.Count() != 1 || !s.Has("b") || s.Has("a") {
+	if s.Count() != 1 || !s.Has(b) || s.Has(a) {
 		t.Error("file inventory wrong after delete")
 	}
 	curve := s.Curve()
@@ -41,17 +42,17 @@ func TestStorageByteSeconds(t *testing.T) {
 }
 
 func TestStorageErrors(t *testing.T) {
-	s := NewStorage(false)
-	if err := s.Put(0, "a", -1); err == nil {
+	s := NewStorage(2, false)
+	if err := s.Put(0, 0, -1); err == nil {
 		t.Error("negative size accepted")
 	}
-	if err := s.Put(0, "a", 10); err != nil {
+	if err := s.Put(0, 0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(1, "a", 10); err == nil {
+	if err := s.Put(1, 0, 10); err == nil {
 		t.Error("duplicate put accepted")
 	}
-	if err := s.Delete(2, "ghost"); err == nil {
+	if err := s.Delete(2, 1); err == nil {
 		t.Error("delete of absent file accepted")
 	}
 	if s.Curve() != nil {
@@ -60,14 +61,14 @@ func TestStorageErrors(t *testing.T) {
 }
 
 func TestStorageTimeMonotonicity(t *testing.T) {
-	s := NewStorage(false)
-	s.Put(10, "a", 1)
+	s := NewStorage(2, false)
+	s.Put(10, 0, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("time going backwards did not panic")
 		}
 	}()
-	s.Put(5, "b", 1)
+	s.Put(5, 1, 1)
 }
 
 // Property: byte-seconds equals the step-function integral recomputed
@@ -77,18 +78,18 @@ func TestPropStorageIntegralMatchesCurve(t *testing.T) {
 		Dt   uint8
 		Size uint16
 	}) bool {
-		s := NewStorage(true)
+		s := NewStorage(26, true)
 		now := units.Duration(0)
 		n := 0
 		for _, op := range ops {
 			now += units.Duration(op.Dt)
-			name := string(rune('a' + n%26))
-			if s.Has(name) {
-				if err := s.Delete(now, name); err != nil {
+			slot := n % 26
+			if s.Has(slot) {
+				if err := s.Delete(now, slot); err != nil {
 					return false
 				}
 			} else {
-				if err := s.Put(now, name, units.Bytes(op.Size)); err != nil {
+				if err := s.Put(now, slot, units.Bytes(op.Size)); err != nil {
 					return false
 				}
 			}

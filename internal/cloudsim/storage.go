@@ -22,10 +22,14 @@ type UsagePoint struct {
 }
 
 // Storage is a shared storage resource with infinite capacity and exact
-// byte-seconds accounting.  It is not safe for concurrent use; the
-// simulation kernel is single-threaded by design.
+// byte-seconds accounting.  Stored objects live in dense integer slots
+// that the caller assigns (the executor maps resident files, per-task
+// staged copies and checkpoint images onto them), so the accounting
+// hashes nothing and allocates nothing once constructed.  It is not
+// safe for concurrent use; the simulation kernel is single-threaded by
+// design.
 type Storage struct {
-	files       map[string]units.Bytes
+	sizes       []units.Bytes // per slot; absent < 0
 	current     units.Bytes
 	peak        units.Bytes
 	lastTime    units.Duration
@@ -34,11 +38,15 @@ type Storage struct {
 	curve       []UsagePoint
 }
 
-// NewStorage returns an empty storage system.  When recordCurve is true,
-// every change is appended to a usage curve retrievable via Curve (used
-// by tests and the report tooling; large simulations can leave it off).
-func NewStorage(recordCurve bool) *Storage {
-	s := &Storage{files: make(map[string]units.Bytes), recordCurve: recordCurve}
+// NewStorage returns an empty storage system with the given number of
+// slots.  When recordCurve is true, every change is appended to a usage
+// curve retrievable via Curve (used by tests and the report tooling;
+// large simulations can leave it off).
+func NewStorage(slots int, recordCurve bool) *Storage {
+	s := &Storage{sizes: make([]units.Bytes, slots), recordCurve: recordCurve}
+	for i := range s.sizes {
+		s.sizes[i] = -1
+	}
 	if recordCurve {
 		s.curve = append(s.curve, UsagePoint{0, 0})
 	}
@@ -54,17 +62,17 @@ func (s *Storage) advance(now units.Duration) {
 	s.lastTime = now
 }
 
-// Put stores a file.  Storing a name that is already present is an error:
-// the execution engines never legitimately double-store.
-func (s *Storage) Put(now units.Duration, name string, size units.Bytes) error {
+// Put stores an object in a slot.  Storing into an occupied slot is an
+// error: the execution engines never legitimately double-store.
+func (s *Storage) Put(now units.Duration, slot int, size units.Bytes) error {
 	if size < 0 {
-		return fmt.Errorf("cloudsim: negative size %d for %q", size, name)
+		return fmt.Errorf("cloudsim: negative size %d for slot %d", size, slot)
 	}
-	if _, dup := s.files[name]; dup {
-		return fmt.Errorf("cloudsim: file %q already stored", name)
+	if s.sizes[slot] >= 0 {
+		return fmt.Errorf("cloudsim: slot %d already stored", slot)
 	}
 	s.advance(now)
-	s.files[name] = size
+	s.sizes[slot] = size
 	s.current += size
 	if s.current > s.peak {
 		s.peak = s.current
@@ -75,14 +83,14 @@ func (s *Storage) Put(now units.Duration, name string, size units.Bytes) error {
 	return nil
 }
 
-// Delete removes a file; deleting an absent file is an error.
-func (s *Storage) Delete(now units.Duration, name string) error {
-	size, ok := s.files[name]
-	if !ok {
-		return fmt.Errorf("cloudsim: delete of absent file %q", name)
+// Delete empties a slot; deleting from an empty slot is an error.
+func (s *Storage) Delete(now units.Duration, slot int) error {
+	size := s.sizes[slot]
+	if size < 0 {
+		return fmt.Errorf("cloudsim: delete from empty slot %d", slot)
 	}
 	s.advance(now)
-	delete(s.files, name)
+	s.sizes[slot] = -1
 	s.current -= size
 	if s.recordCurve {
 		s.curve = append(s.curve, UsagePoint{now, s.current})
@@ -90,11 +98,8 @@ func (s *Storage) Delete(now units.Duration, name string) error {
 	return nil
 }
 
-// Has reports whether the named file is currently stored.
-func (s *Storage) Has(name string) bool {
-	_, ok := s.files[name]
-	return ok
-}
+// Has reports whether the slot currently holds an object.
+func (s *Storage) Has(slot int) bool { return s.sizes[slot] >= 0 }
 
 // Current returns the bytes stored right now.
 func (s *Storage) Current() units.Bytes { return s.current }
@@ -102,8 +107,16 @@ func (s *Storage) Current() units.Bytes { return s.current }
 // Peak returns the high-water mark of stored bytes.
 func (s *Storage) Peak() units.Bytes { return s.peak }
 
-// Count returns the number of stored files.
-func (s *Storage) Count() int { return len(s.files) }
+// Count returns the number of occupied slots.
+func (s *Storage) Count() int {
+	n := 0
+	for _, size := range s.sizes {
+		if size >= 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // ByteSeconds returns the area under the usage curve from time zero up
 // to now (inclusive of the span since the last change).

@@ -21,7 +21,9 @@ package dag
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/units"
 )
@@ -29,13 +31,19 @@ import (
 // TaskID identifies a task within a workflow.
 type TaskID int
 
+// FileID identifies a file within a finalized workflow.  Finalize
+// numbers the files densely in name order, so ascending IDs are
+// ascending names and an ID indexes the slice Files returns.
+type FileID int32
+
 // File is a data item used or produced by the workflow.
 type File struct {
 	Name     string      // unique within the workflow
-	Size     units.Bytes // size in bytes
+	Size     units.Bytes // size in bytes; change it only through ScaleFileSizes once finalized
 	Producer TaskID      // task that writes it, or NoTask for external inputs
 	Output   bool        // true if the file must be staged out to the user
 
+	id        FileID   // dense name-order index, assigned by Finalize (beside Output, it costs no space)
 	consumers []TaskID // tasks that read the file, sorted by ID
 }
 
@@ -49,6 +57,10 @@ func (f *File) Consumers() []TaskID { return f.consumers }
 // External reports whether the file comes from outside the workflow and
 // must be transferred in from the user before any consumer can run.
 func (f *File) External() bool { return f.Producer == NoTask }
+
+// ID returns the file's dense index, its position in name order.  It is
+// assigned by Finalize.
+func (f *File) ID() FileID { return f.id }
 
 // Task is one vertex of the workflow graph.
 type Task struct {
@@ -75,19 +87,38 @@ func (t *Task) Children() []TaskID { return t.children }
 func (t *Task) Level() int { return t.level }
 
 // Workflow is an immutable-after-Finalize DAG of tasks and files.
+//
+// Finalize also compiles the workflow into an index-addressed form that
+// every simulated run reads instead of re-deriving it: dense FileIDs,
+// the name-sorted file list with its external-input and output subsets,
+// per-task FileID lists, the widest level and the total file bytes.
 type Workflow struct {
-	Name  string
-	tasks []*Task
-	files map[string]*File
+	Name      string
+	tasks     []*Task
+	files     map[string]*File
+	taskNames map[string]bool // for AddTask's duplicate check; dropped by Finalize
 
 	finalized bool
 	order     []TaskID // topological order, computed by Finalize
 	maxLevel  int
+
+	// Compiled by Finalize; see compile.
+	sorted    []*File // by name: sorted[id].ID() == id
+	external  []*File // External() files, by name
+	outputs   []*File // Output files, by name
+	maxPar    int
+	fileBytes units.Bytes
+	// io holds every task's file IDs.  Task t's window io[ioAt[t]:ioAt[t+1]]
+	// lists its inputs then its outputs in declaration order, followed,
+	// only when that is not name order, by the same two lists in name
+	// order.
+	io   []FileID
+	ioAt []int32
 }
 
 // New returns an empty workflow with the given name.
 func New(name string) *Workflow {
-	return &Workflow{Name: name, files: make(map[string]*File)}
+	return &Workflow{Name: name, files: make(map[string]*File), taskNames: make(map[string]bool)}
 }
 
 // AddFile registers a file.  Size must be non-negative and the name
@@ -123,10 +154,8 @@ func (w *Workflow) AddTask(name, typ string, runtime units.Duration, inputs, out
 	if runtime < 0 {
 		return nil, fmt.Errorf("dag: task %q has negative runtime %v", name, runtime)
 	}
-	for _, t := range w.tasks {
-		if t.Name == name {
-			return nil, fmt.Errorf("dag: duplicate task %q", name)
-		}
+	if w.taskNames[name] {
+		return nil, fmt.Errorf("dag: duplicate task %q", name)
 	}
 	id := TaskID(len(w.tasks))
 	t := &Task{
@@ -160,6 +189,7 @@ func (w *Workflow) AddTask(name, typ string, runtime units.Duration, inputs, out
 		f.Producer = id
 	}
 	w.tasks = append(w.tasks, t)
+	w.taskNames[name] = true
 	return t, nil
 }
 
@@ -251,8 +281,121 @@ func (w *Workflow) Finalize() error {
 	if len(dangling) > 0 {
 		return fmt.Errorf("dag: file %q is produced but never consumed nor staged out", dangling[0])
 	}
+	w.compile()
 	w.finalized = true
+	// Nothing can be added any more, and the compiled sorted list answers
+	// name lookups: drop the build-time maps, which every cached workflow
+	// would otherwise carry.
+	w.files, w.taskNames = nil, nil
 	return nil
+}
+
+// compile builds the index-addressed form of a validated workflow: dense
+// name-order FileIDs, the sorted file lists, each task's file lists as
+// IDs and the cached aggregates.  It reads only the tasks and files, so
+// Clone re-runs it to point the copy's lists at the copy's files.
+func (w *Workflow) compile() {
+	w.sorted = sortedFiles(w.files)
+	for i, f := range w.sorted {
+		f.id = FileID(i)
+	}
+	w.external = filterFiles(w.sorted, (*File).External)
+	w.outputs = filterFiles(w.sorted, isOutput)
+	w.fileBytes = sumSizes(w.sorted)
+	w.maxPar = w.widestLevel()
+	n := 0
+	for _, t := range w.tasks {
+		n += len(t.Inputs) + len(t.Outputs)
+	}
+	w.io = make([]FileID, 0, n)
+	w.ioAt = make([]int32, len(w.tasks)+1)
+	for i, t := range w.tasks {
+		start := len(w.io)
+		for _, name := range t.Inputs {
+			w.io = append(w.io, w.files[name].id)
+		}
+		for _, name := range t.Outputs {
+			w.io = append(w.io, w.files[name].id)
+		}
+		decl, nIn := w.io[start:], len(t.Inputs)
+		if !slices.IsSorted(decl[:nIn]) || !slices.IsSorted(decl[nIn:]) {
+			w.io = append(w.io, decl...)
+			byName := w.io[len(w.io)-len(decl):]
+			slices.Sort(byName[:nIn])
+			slices.Sort(byName[nIn:])
+		}
+		w.ioAt[i+1] = int32(len(w.io))
+	}
+}
+
+// ioWindow returns a task's window of io, the length of its declared
+// lists and the number of its inputs.
+func (w *Workflow) ioWindow(id TaskID) (win []FileID, n, nIn int) {
+	t := w.tasks[id]
+	return w.io[w.ioAt[id]:w.ioAt[id+1]], len(t.Inputs) + len(t.Outputs), len(t.Inputs)
+}
+
+// InputIDs returns the IDs of the files task id reads, in name order.
+// It and the three accessors below are built by Finalize and return
+// windows of the workflow's own compiled array: callers must not modify
+// the slices.
+func (w *Workflow) InputIDs(id TaskID) []FileID {
+	win, n, nIn := w.ioWindow(id)
+	if len(win) > n {
+		win = win[n:]
+	}
+	return win[:nIn:nIn]
+}
+
+// OutputIDs returns the IDs of the files task id writes, in name order.
+func (w *Workflow) OutputIDs(id TaskID) []FileID {
+	win, n, nIn := w.ioWindow(id)
+	if len(win) > n {
+		win = win[n:]
+	}
+	return win[nIn:n:n]
+}
+
+// DeclaredInputIDs returns the IDs of task id's Inputs, index for index.
+func (w *Workflow) DeclaredInputIDs(id TaskID) []FileID {
+	win, _, nIn := w.ioWindow(id)
+	return win[:nIn:nIn]
+}
+
+// DeclaredOutputIDs returns the IDs of task id's Outputs, index for
+// index.
+func (w *Workflow) DeclaredOutputIDs(id TaskID) []FileID {
+	win, n, nIn := w.ioWindow(id)
+	return win[nIn:n:n]
+}
+
+func sortedFiles(files map[string]*File) []*File {
+	out := make([]*File, 0, len(files))
+	for _, f := range files {
+		out = append(out, f)
+	}
+	slices.SortFunc(out, func(a, b *File) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+func filterFiles(files []*File, keep func(*File) bool) []*File {
+	var out []*File
+	for _, f := range files {
+		if keep(f) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+func isOutput(f *File) bool { return f.Output }
+
+func sumSizes(files []*File) units.Bytes {
+	var sum units.Bytes
+	for _, f := range files {
+		sum += f.Size
+	}
+	return sum
 }
 
 // Finalized reports whether Finalize has completed successfully.
@@ -262,7 +405,12 @@ func (w *Workflow) Finalized() bool { return w.finalized }
 func (w *Workflow) NumTasks() int { return len(w.tasks) }
 
 // NumFiles returns the number of files.
-func (w *Workflow) NumFiles() int { return len(w.files) }
+func (w *Workflow) NumFiles() int {
+	if w.finalized {
+		return len(w.sorted)
+	}
+	return len(w.files)
+}
 
 // Task returns the task with the given ID.
 func (w *Workflow) Task(id TaskID) *Task { return w.tasks[id] }
@@ -270,17 +418,32 @@ func (w *Workflow) Task(id TaskID) *Task { return w.tasks[id] }
 // Tasks returns all tasks in ID order. The slice is owned by the workflow.
 func (w *Workflow) Tasks() []*Task { return w.tasks }
 
-// File returns the named file, or nil if it does not exist.
-func (w *Workflow) File(name string) *File { return w.files[name] }
-
-// Files returns all files sorted by name.
-func (w *Workflow) Files() []*File {
-	out := make([]*File, 0, len(w.files))
-	for _, f := range w.files {
-		out = append(out, f)
+// File returns the named file, or nil if it does not exist.  A finalized
+// workflow finds it by binary search over its name-sorted files.
+func (w *Workflow) File(name string) *File {
+	if !w.finalized {
+		return w.files[name]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	i, ok := slices.BinarySearchFunc(w.sorted, name, func(f *File, name string) int { return strings.Compare(f.Name, name) })
+	if !ok {
+		return nil
+	}
+	return w.sorted[i]
+}
+
+// FileByID returns the file with the given ID.  Finalize must have been
+// called.
+func (w *Workflow) FileByID(id FileID) *File { return w.sorted[id] }
+
+// Files returns all files sorted by name, which on a finalized workflow
+// is FileID order.  Once the workflow is finalized the slice is the
+// workflow's own and is shared by every caller: it must not be modified
+// (copy it first to reorder it).
+func (w *Workflow) Files() []*File {
+	if w.finalized {
+		return w.sorted
+	}
+	return sortedFiles(w.files)
 }
 
 // TopoOrder returns a deterministic topological order of task IDs.
@@ -302,26 +465,23 @@ func (w *Workflow) TasksAtLevel(level int) []*Task {
 }
 
 // ExternalInputs returns the files that must be staged in from the user,
-// sorted by name.
+// sorted by name.  Like Files, the slice of a finalized workflow is the
+// workflow's own and must not be modified.
 func (w *Workflow) ExternalInputs() []*File {
-	var out []*File
-	for _, f := range w.Files() {
-		if f.External() {
-			out = append(out, f)
-		}
+	if w.finalized {
+		return w.external
 	}
-	return out
+	return filterFiles(w.Files(), (*File).External)
 }
 
 // OutputFiles returns the files staged back to the user, sorted by name.
+// Like Files, the slice of a finalized workflow is the workflow's own
+// and must not be modified.
 func (w *Workflow) OutputFiles() []*File {
-	var out []*File
-	for _, f := range w.Files() {
-		if f.Output {
-			out = append(out, f)
-		}
+	if w.finalized {
+		return w.outputs
 	}
-	return out
+	return filterFiles(w.Files(), isOutput)
 }
 
 // TotalRuntime returns the sum of all task runtimes: the total CPU time
@@ -337,47 +497,35 @@ func (w *Workflow) TotalRuntime() units.Duration {
 // TotalFileBytes returns the sum of the sizes of every file used or
 // produced by the workflow: the numerator of the paper's CCR formula.
 func (w *Workflow) TotalFileBytes() units.Bytes {
-	var sum units.Bytes
-	for _, f := range w.files {
-		sum += f.Size
+	if w.finalized {
+		return w.fileBytes
 	}
-	return sum
+	return sumSizes(w.Files())
 }
 
 // InputBytes returns the total size of external input files.
-func (w *Workflow) InputBytes() units.Bytes {
-	var sum units.Bytes
-	for _, f := range w.files {
-		if f.External() {
-			sum += f.Size
-		}
-	}
-	return sum
-}
+func (w *Workflow) InputBytes() units.Bytes { return sumSizes(w.ExternalInputs()) }
 
 // OutputBytes returns the total size of files staged out to the user.
-func (w *Workflow) OutputBytes() units.Bytes {
-	var sum units.Bytes
-	for _, f := range w.files {
-		if f.Output {
-			sum += f.Size
-		}
-	}
-	return sum
-}
+func (w *Workflow) OutputBytes() units.Bytes { return sumSizes(w.OutputFiles()) }
 
 // MaxParallelism returns the width of the widest level: an upper bound on
 // the number of processors the workflow can use at once when tasks within
 // a level are independent (true for Montage).
 func (w *Workflow) MaxParallelism() int {
-	counts := make(map[int]int)
+	if w.finalized {
+		return w.maxPar
+	}
+	return w.widestLevel()
+}
+
+func (w *Workflow) widestLevel() int {
+	counts := make([]int, w.maxLevel+1)
+	max := 0
 	for _, t := range w.tasks {
 		counts[t.level]++
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
+		if counts[t.level] > max {
+			max = counts[t.level]
 		}
 	}
 	return max
@@ -432,20 +580,23 @@ func (w *Workflow) ScaleFileSizes(factor float64) error {
 	if factor <= 0 {
 		return fmt.Errorf("dag: non-positive scale factor %v", factor)
 	}
-	for _, f := range w.files {
+	for _, f := range w.Files() {
 		f.Size = units.BytesOf(float64(f.Size) * factor)
+	}
+	if w.finalized {
+		w.fileBytes = sumSizes(w.sorted)
 	}
 	return nil
 }
 
 // Clone returns a deep copy of the workflow.  The copy preserves
-// finalization state, orders and levels.
+// finalization state, orders and levels, and has its own compiled form.
 func (w *Workflow) Clone() *Workflow {
 	c := New(w.Name)
-	for name, f := range w.files {
+	for _, f := range w.Files() {
 		nf := *f
 		nf.consumers = append([]TaskID(nil), f.consumers...)
-		c.files[name] = &nf
+		c.files[f.Name] = &nf
 	}
 	c.tasks = make([]*Task, len(w.tasks))
 	for i, t := range w.tasks {
@@ -459,6 +610,14 @@ func (w *Workflow) Clone() *Workflow {
 	c.finalized = w.finalized
 	c.order = append([]TaskID(nil), w.order...)
 	c.maxLevel = w.maxLevel
+	if c.finalized {
+		c.compile()
+		c.files, c.taskNames = nil, nil
+	} else {
+		for _, t := range c.tasks {
+			c.taskNames[t.Name] = true
+		}
+	}
 	return c
 }
 

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -324,5 +325,80 @@ func TestTasksAtLevel(t *testing.T) {
 	}
 	if len(w.TasksAtLevel(99)) != 0 {
 		t.Error("nonexistent level should be empty")
+	}
+}
+
+// TestCompiledForm checks what Finalize compiles: dense FileIDs in name
+// order, each task's file IDs in declaration and in name order, and
+// shared lists that a clone rebuilds over its own files.
+func TestCompiledForm(t *testing.T) {
+	w := New("compiled")
+	for _, name := range []string{"c", "a", "b", "z", "y"} {
+		if _, err := w.AddFile(name, units.Bytes(len(name)), name == "z" || name == "y"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.AddTask("sorted", "r", 1, []string{"a", "b"}, []string{"y"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AddTask("unsorted", "r", 1, []string{"c", "a"}, []string{"z"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	ids := func(names ...string) []FileID {
+		out := make([]FileID, len(names))
+		for i, n := range names {
+			out[i] = w.File(n).ID()
+		}
+		return out
+	}
+	for i, f := range w.Files() {
+		if f.ID() != FileID(i) || w.FileByID(FileID(i)) != f {
+			t.Fatalf("file %q has ID %d at position %d", f.Name, f.ID(), i)
+		}
+	}
+	if got, want := w.Files()[0].Name, "a"; got != want {
+		t.Errorf("first file %q, want %q", got, want)
+	}
+	same := func(a, b []FileID) bool { return fmt.Sprint(a) == fmt.Sprint(b) }
+	for _, tc := range []struct {
+		task                     TaskID
+		in, out, declIn, declOut []FileID
+	}{
+		{0, ids("a", "b"), ids("y"), ids("a", "b"), ids("y")},
+		{1, ids("a", "c"), ids("z"), ids("c", "a"), ids("z")},
+	} {
+		if got := w.InputIDs(tc.task); !same(got, tc.in) {
+			t.Errorf("task %d InputIDs = %v, want %v", tc.task, got, tc.in)
+		}
+		if got := w.OutputIDs(tc.task); !same(got, tc.out) {
+			t.Errorf("task %d OutputIDs = %v, want %v", tc.task, got, tc.out)
+		}
+		if got := w.DeclaredInputIDs(tc.task); !same(got, tc.declIn) {
+			t.Errorf("task %d DeclaredInputIDs = %v, want %v", tc.task, got, tc.declIn)
+		}
+		if got := w.DeclaredOutputIDs(tc.task); !same(got, tc.declOut) {
+			t.Errorf("task %d DeclaredOutputIDs = %v, want %v", tc.task, got, tc.declOut)
+		}
+	}
+	if &w.Files()[0] != &w.Files()[0] {
+		t.Error("Files returns a fresh slice on every call; want the compiled one")
+	}
+	if got := w.ExternalInputs(); len(got) != 3 || got[0].Name != "a" || got[2].Name != "c" {
+		t.Errorf("ExternalInputs = %v", got)
+	}
+	if got := w.OutputFiles(); len(got) != 2 || got[0].Name != "y" || got[1].Name != "z" {
+		t.Errorf("OutputFiles = %v", got)
+	}
+	c := w.Clone()
+	for i, f := range c.Files() {
+		if f == w.Files()[i] || c.File(f.Name) != f {
+			t.Fatalf("clone's compiled list points at the original's file %q", f.Name)
+		}
+	}
+	if got := c.DeclaredInputIDs(1); !same(got, ids("c", "a")) {
+		t.Errorf("clone DeclaredInputIDs = %v", got)
 	}
 }

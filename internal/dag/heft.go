@@ -22,8 +22,8 @@ func (w *Workflow) HEFTRanks(bw units.Bandwidth) []units.Duration {
 	for i := len(w.order) - 1; i >= 0; i-- {
 		t := w.tasks[w.order[i]]
 		edge := make(map[TaskID]units.Bytes, len(t.children))
-		for _, name := range t.Outputs {
-			f := w.files[name]
+		for _, out := range w.DeclaredOutputIDs(t.ID) {
+			f := w.sorted[out]
 			for _, c := range f.consumers {
 				edge[c] += f.Size
 			}

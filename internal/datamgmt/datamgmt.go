@@ -87,10 +87,11 @@ func ParseMode(s string) (Mode, error) {
 
 // Analyzer tracks, per file, how many consumer tasks have not yet
 // completed.  It answers the dynamic-cleanup question: "which files died
-// when this task finished?"
+// when this task finished?"  Counts are indexed by FileID, so the
+// question is answered without hashing a name or allocating.
 type Analyzer struct {
 	wf        *dag.Workflow
-	remaining map[string]int
+	remaining []int32 // by FileID
 }
 
 // NewAnalyzer builds the reference counts for a finalized workflow.
@@ -98,29 +99,29 @@ func NewAnalyzer(wf *dag.Workflow) (*Analyzer, error) {
 	if !wf.Finalized() {
 		return nil, fmt.Errorf("datamgmt: workflow %q not finalized", wf.Name)
 	}
-	a := &Analyzer{wf: wf, remaining: make(map[string]int, wf.NumFiles())}
+	a := &Analyzer{wf: wf, remaining: make([]int32, wf.NumFiles())}
 	for _, f := range wf.Files() {
-		a.remaining[f.Name] = len(f.Consumers())
+		a.remaining[f.ID()] = int32(len(f.Consumers()))
 	}
 	return a, nil
 }
 
-// TaskDone records the completion of a task and returns the names of the
-// files that are now dead: every input whose last consumer was this task
-// and which is not a staged-out output.  Produced-but-output files are
-// never reported dead; they are removed after stage-out.
+// TaskDone records the completion of a task and appends to dead the
+// files that are now dead, in the task's input declaration order: every
+// input whose last consumer was this task and which is not a staged-out
+// output.  Produced-but-output files are never reported dead; they are
+// removed after stage-out.  Passing a reused dead[:0] keeps the call
+// allocation-free.
 //
 // Calling TaskDone twice for the same task corrupts the counts; the
 // executor calls it exactly once per task.
-func (a *Analyzer) TaskDone(id dag.TaskID) []string {
-	t := a.wf.Task(id)
-	var dead []string
-	for _, in := range t.Inputs {
+func (a *Analyzer) TaskDone(id dag.TaskID, dead []dag.FileID) []dag.FileID {
+	for _, in := range a.wf.DeclaredInputIDs(id) {
 		a.remaining[in]--
 		if a.remaining[in] < 0 {
-			panic(fmt.Sprintf("datamgmt: file %q reference count went negative", in))
+			panic(fmt.Sprintf("datamgmt: file %q reference count went negative", a.wf.FileByID(in).Name))
 		}
-		if a.remaining[in] == 0 && !a.wf.File(in).Output {
+		if a.remaining[in] == 0 && !a.wf.FileByID(in).Output {
 			dead = append(dead, in)
 		}
 	}
@@ -128,7 +129,7 @@ func (a *Analyzer) TaskDone(id dag.TaskID) []string {
 }
 
 // Remaining returns the current reference count for a file.
-func (a *Analyzer) Remaining(name string) int { return a.remaining[name] }
+func (a *Analyzer) Remaining(id dag.FileID) int { return int(a.remaining[id]) }
 
 // DeletionSchedule computes, statically, the cleanup point of every
 // deletable file: the task whose completion kills it, assuming tasks

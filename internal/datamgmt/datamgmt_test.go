@@ -1,6 +1,7 @@
 package datamgmt
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -73,37 +74,45 @@ func TestAnalyzerPaperNarrative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	done := func(id dag.TaskID) string { return deadNames(w, a.TaskDone(id, nil)) }
 	// Task 0 completes: file a (consumed only by t0) dies.
-	dead := a.TaskDone(0)
-	if len(dead) != 1 || dead[0] != "a" {
-		t.Fatalf("after t0, dead = %v, want [a]", dead)
+	if dead := done(0); dead != "a" {
+		t.Fatalf("after t0, dead = [%s], want [a]", dead)
 	}
 	// Task 1 completes: b still has consumer t2.
-	if dead := a.TaskDone(1); len(dead) != 0 {
-		t.Fatalf("after t1, dead = %v, want []", dead)
+	if dead := done(1); dead != "" {
+		t.Fatalf("after t1, dead = [%s], want []", dead)
 	}
-	if a.Remaining("b") != 1 {
-		t.Errorf("remaining(b) = %d, want 1", a.Remaining("b"))
+	if got := a.Remaining(w.File("b").ID()); got != 1 {
+		t.Errorf("remaining(b) = %d, want 1", got)
 	}
 	// Task 2 completes: b dies now.
-	if dead := a.TaskDone(2); len(dead) != 1 || dead[0] != "b" {
-		t.Fatalf("after t2, dead = %v, want [b]", dead)
+	if dead := done(2); dead != "b" {
+		t.Fatalf("after t2, dead = [%s], want [b]", dead)
 	}
 	// Tasks 3,4,5 complete: c dies after 4, d after 5.
-	if dead := a.TaskDone(3); len(dead) != 0 {
-		t.Fatalf("after t3, dead = %v, want []", dead)
+	if dead := done(3); dead != "" {
+		t.Fatalf("after t3, dead = [%s], want []", dead)
 	}
-	if dead := a.TaskDone(4); len(dead) != 1 || dead[0] != "c" {
-		t.Fatalf("after t4, dead = %v, want [c]", dead)
+	if dead := done(4); dead != "c" {
+		t.Fatalf("after t4, dead = [%s], want [c]", dead)
 	}
-	if dead := a.TaskDone(5); len(dead) != 1 || dead[0] != "d" {
-		t.Fatalf("after t5, dead = %v, want [d]", dead)
+	if dead := done(5); dead != "d" {
+		t.Fatalf("after t5, dead = [%s], want [d]", dead)
 	}
 	// Task 6 completes: e and f die; h survives because it is an output.
-	dead = a.TaskDone(6)
-	if len(dead) != 2 || dead[0] != "e" || dead[1] != "f" {
-		t.Fatalf("after t6, dead = %v, want [e f]", dead)
+	if dead := done(6); dead != "e f" {
+		t.Fatalf("after t6, dead = [%s], want [e f]", dead)
 	}
+}
+
+// deadNames renders the files TaskDone reported, in its order.
+func deadNames(w *dag.Workflow, ids []dag.FileID) string {
+	names := make([]string, len(ids))
+	for i, id := range ids {
+		names[i] = w.FileByID(id).Name
+	}
+	return strings.Join(names, " ")
 }
 
 func TestAnalyzerRequiresFinalized(t *testing.T) {
@@ -170,7 +179,8 @@ func TestPropAnalyzerConservation(t *testing.T) {
 	killed := make(map[string]bool)
 	for _, id := range w.TopoOrder() {
 		done[id] = true
-		for _, name := range a.TaskDone(id) {
+		for _, dead := range a.TaskDone(id, nil) {
+			name := w.FileByID(dead).Name
 			if killed[name] {
 				t.Fatalf("file %q killed twice", name)
 			}
@@ -212,8 +222,8 @@ func TestPropScheduleMatchesAnalyzer(t *testing.T) {
 			return false
 		}
 		for _, id := range order {
-			for _, name := range a.TaskDone(id) {
-				if sched[name] != id {
+			for _, dead := range a.TaskDone(id, nil) {
+				if sched[w.FileByID(dead).Name] != id {
 					return false
 				}
 			}

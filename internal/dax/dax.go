@@ -21,7 +21,6 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/dag"
 	"repro/internal/units"
@@ -59,9 +58,7 @@ type xmlUses struct {
 // deterministic and round-trip stable.
 func Write(w io.Writer, wf *dag.Workflow) error {
 	doc := xmlADAG{Name: wf.Name}
-	files := wf.Files()
-	sort.Slice(files, func(i, j int) bool { return files[i].Name < files[j].Name })
-	for _, f := range files {
+	for _, f := range wf.Files() {
 		doc.Files = append(doc.Files, xmlFile{Name: f.Name, Size: int64(f.Size), Output: f.Output})
 	}
 	for _, t := range wf.Tasks() {

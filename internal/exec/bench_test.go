@@ -6,6 +6,7 @@ import (
 	"repro/internal/dag"
 	"repro/internal/datamgmt"
 	"repro/internal/montage"
+	"repro/internal/units"
 )
 
 func benchWorkflow(b *testing.B, spec montage.Spec) *dag.Workflow {
@@ -46,4 +47,16 @@ func BenchmarkRunRemoteIO1Deg(b *testing.B) {
 // BenchmarkRunRegular4Deg measures the 3,027-task simulation.
 func BenchmarkRunRegular4Deg(b *testing.B) {
 	benchRun(b, montage.FourDegree(), Config{Mode: datamgmt.Regular})
+}
+
+// BenchmarkSpotScheduleInstances samples the per-instance revocation
+// schedule of a 128-processor fleet at 1 reclaim/h per instance over
+// the ~177 h spot horizon of a 4-degree run: ~19.5k sorted reclaims.
+func BenchmarkSpotScheduleInstances(b *testing.B) {
+	horizon := units.Duration(177 * units.SecondsPerHour)
+	for i := 0; i < b.N; i++ {
+		if _, err := SpotScheduleInstances(horizon, 128, 1, 120, 600, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

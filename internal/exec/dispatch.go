@@ -7,6 +7,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dag"
@@ -19,8 +20,8 @@ import (
 // releaseSlot frees the processor a task's attempt occupies, in the
 // sub-pool it was placed on.
 func (r *runner) releaseSlot(id dag.TaskID, now units.Duration) error {
-	if r.onReliable[id] {
-		r.onReliable[id] = false
+	if r.tasks[id].onReliable {
+		r.tasks[id].onReliable = false
 		return r.cluster.ReleaseReliable(now)
 	}
 	return r.cluster.ReleaseSpot(now)
@@ -48,11 +49,18 @@ func (r *runner) readyBefore(a, b dag.TaskID) bool {
 //
 //repro:hot
 func (r *runner) enqueueReady(id dag.TaskID) {
-	r.phase[id] = phaseReady
+	r.tasks[id].phase = phaseReady
 	if r.trace != nil {
-		r.trace.Record(r.eng.Now(), obs.Event{Kind: obs.KindReady, Task: int(id), Name: r.wf.Task(id).Name})
+		r.trace.Record(r.now, obs.Event{Kind: obs.KindReady, Task: int(id), Name: r.wf.Task(id).Name})
 	}
-	i := sort.Search(len(r.ready), func(i int) bool { return !r.readyBefore(r.ready[i], id) })
+	q := r.ready[r.readyHead:]
+	i := r.readyHead + sort.Search(len(q), func(i int) bool { return !r.readyBefore(q[i], id) })
+	if len(r.ready) == cap(r.ready) && r.readyHead > 0 {
+		// Reuse the dispatched prefix before growing the array.
+		n := copy(r.ready, q)
+		i -= r.readyHead
+		r.ready, r.readyHead = r.ready[:n], 0
+	}
 	r.ready = append(r.ready, 0)
 	copy(r.ready[i+1:], r.ready[i:])
 	r.ready[i] = id
@@ -70,40 +78,57 @@ func (r *runner) dispatch(now units.Duration) {
 	if a := r.avail(now); a > now {
 		if !r.dispatchDeferred {
 			r.dispatchDeferred = true
-			r.eng.Schedule(a, func(at units.Duration) {
-				r.dispatchDeferred = false
-				r.dispatch(at)
-			})
+			r.post(a, evDispatch, -1, 0)
 		}
 		return
 	}
+	q := r.ready[r.readyHead:]
 	n := r.cluster.Free()
-	if n > len(r.ready) {
-		n = len(r.ready)
+	if n > len(q) {
+		n = len(q)
 	}
 	if n <= 0 {
 		return
 	}
-	batch := append([]dag.TaskID(nil), r.ready[:n]...)
-	r.ready = r.ready[n:]
+	// The batch leaves the front of the ready queue into a buffer reused
+	// across dispatches (startTask never dispatches).
+	r.batch = append(r.batch[:0], q[:n]...)
+	if r.readyHead += n; r.readyHead == len(r.ready) {
+		r.ready, r.readyHead = r.ready[:0], 0
+	}
 	if r.trace != nil {
-		r.trace.Record(now, obs.Event{Kind: obs.KindDispatch, Task: -1, Count: len(batch)})
+		r.trace.Record(now, obs.Event{Kind: obs.KindDispatch, Task: -1, Count: len(r.batch)})
 	}
 	if r.prio != nil && r.cluster.FreeReliable() > 0 {
 		// Placement order, not start order: everything in the batch
 		// starts at the same instant, so reordering only decides which
-		// tasks land on the reliable sub-pool.
-		sort.SliceStable(batch, func(i, j int) bool {
-			a, b := batch[i], batch[j]
-			if r.prio[a] != r.prio[b] {
-				return r.prio[a] > r.prio[b]
-			}
-			return a < b
-		})
+		// tasks land on the reliable sub-pool.  Task IDs are distinct,
+		// so the order is total and needs no stable sort.
+		slices.SortFunc(r.batch, r.placementOrder)
 	}
-	for _, id := range batch {
+	for _, id := range r.batch {
 		r.startTask(id, now)
 	}
+}
+
+// placementOrder ranks a dispatch batch for placement: the larger
+// priority first, then the smaller task ID.
+func (r *runner) placementOrder(a, b dag.TaskID) int {
+	if r.prio[a] != r.prio[b] {
+		if r.prio[a] > r.prio[b] {
+			return -1
+		}
+		return 1
+	}
+	return int(a) - int(b)
+}
+
+// recovery is the recovery policy governing a task's attempt in flight:
+// the configured one at the attempt's effective checkpoint interval.
+func (r *runner) recovery(id dag.TaskID) Recovery {
+	rec := r.cfg.Recovery
+	rec.Interval = r.tasks[id].interval
+	return rec
 }
 
 // effectiveRecovery derives the recovery policy governing one attempt:
@@ -131,28 +156,29 @@ func (r *runner) effectiveRecovery(rem units.Duration, onReliable bool) Recovery
 // startTask begins one attempt on a free processor, reliable sub-pool
 // first (on a uniform pool every slot is spot capacity).
 func (r *runner) startTask(id dag.TaskID, now units.Duration) {
-	r.onReliable[id] = r.cluster.AcquireReliable(now)
-	if !r.onReliable[id] && !r.cluster.AcquireSpot(now) {
+	ts := &r.tasks[id]
+	ts.onReliable = r.cluster.AcquireReliable(now)
+	if !ts.onReliable && !r.cluster.AcquireSpot(now) {
 		r.fail(fmt.Errorf("exec: dispatch overran the free processors at %v", now))
 		return
 	}
-	r.phase[id] = phaseRunning
+	ts.phase = phaseRunning
 	t := r.wf.Task(id)
 	// The attempt resumes from the banked progress and pays its
 	// effective recovery policy's checkpoint overhead along the way.
-	rem := t.Runtime - r.banked[id]
-	rec := r.effectiveRecovery(rem, r.onReliable[id])
-	r.runRec[id] = rec
+	rem := t.Runtime - ts.banked
+	rec := r.effectiveRecovery(rem, ts.onReliable)
+	ts.interval = rec.Interval
 	wall := rec.attemptWall(rem)
-	r.runStart[id] = now
-	r.runRem[id] = rem
+	ts.runStart = now
+	ts.runRem = rem
 	if r.trace != nil {
 		pool := "spot"
-		if r.onReliable[id] {
+		if ts.onReliable {
 			pool = "reliable"
 		}
 		r.trace.Record(now, obs.Event{Kind: obs.KindStart, Task: int(id), Name: t.Name, Pool: pool})
-		if r.banked[id] > 0 {
+		if ts.banked > 0 {
 			ev := obs.Event{Kind: obs.KindRestore, Task: int(id), Name: t.Name}
 			if rec.Checkpoint {
 				ev.Bytes = int64(rec.Bytes)
@@ -165,37 +191,21 @@ func (r *runner) startTask(id dag.TaskID, now units.Duration) {
 	// its image resident until the task completes (replacement writes
 	// keep the size constant, so only the first write changes occupancy).
 	if rec.Checkpoint && rec.Bytes > 0 {
-		if r.banked[id] > 0 {
+		if ts.banked > 0 {
 			r.ckptRestored += rec.Bytes
 		}
-		if rec.checkpointsFor(rem) > 0 && !r.storage.Has(ckptKey(id)) {
-			firstAtt := r.attempt[id]
-			r.eng.Schedule(now+rec.Interval+rec.Overhead, func(at units.Duration) {
-				if r.attempt[id] != firstAtt || r.storage.Has(ckptKey(id)) {
-					return
-				}
-				if err := r.storage.Put(at, ckptKey(id), rec.Bytes); err != nil {
-					r.fail(err)
-				}
-			})
+		if rec.checkpointsFor(rem) > 0 && !r.storage.Has(r.ckptSlot(id)) {
+			r.post(now+rec.Interval+rec.Overhead, evCheckpoint, id, ts.attempt)
 		}
 	}
 	if r.cfg.RecordSchedule {
-		r.spanOf[id] = len(r.schedule)
+		ts.span = int32(len(r.schedule))
 		r.schedule = append(r.schedule, TaskSpan{
 			Task: id, Name: t.Name, Type: t.Type,
 			Start: now, Finish: now + wall,
 		})
 	}
-	att := r.attempt[id]
-	r.eng.Schedule(now+wall, func(at units.Duration) {
-		// A preemption between dispatch and completion bumps the
-		// attempt counter; this event then belongs to a dead attempt.
-		if r.attempt[id] != att {
-			return
-		}
-		r.completeTask(id, at)
-	})
+	r.post(now+wall, evComplete, id, ts.attempt)
 }
 
 func (r *runner) completeTask(id dag.TaskID, now units.Duration) {
@@ -204,7 +214,7 @@ func (r *runner) completeTask(id dag.TaskID, now units.Duration) {
 		return
 	}
 	if r.cfg.RecordSchedule {
-		delete(r.spanOf, id)
+		r.tasks[id].span = -1
 	}
 	// Reliability extension: the attempt may fail, in which case the
 	// task goes back to the ready queue and the burned CPU time stays on
@@ -216,11 +226,11 @@ func (r *runner) completeTask(id dag.TaskID, now units.Duration) {
 			r.trace.Record(now, obs.Event{Kind: obs.KindRetry, Task: int(id), Name: r.wf.Task(id).Name})
 		}
 		// The crash poisons the failed attempt's own checkpoints, but
-		// progress banked by earlier preemptions survives (banked[id] is
-		// untouched), so its backing image must stay resident for the
-		// retry to restore from.  Only an image with nothing banked
-		// behind it is poisoned garbage.
-		if r.banked[id] == 0 {
+		// progress banked by earlier preemptions survives (the banked
+		// work is untouched), so its backing image must stay resident
+		// for the retry to restore from.  Only an image with nothing
+		// banked behind it is poisoned garbage.
+		if r.tasks[id].banked == 0 {
 			if err := r.dropCheckpoint(id, now); err != nil {
 				r.fail(err)
 				return
@@ -230,8 +240,8 @@ func (r *runner) completeTask(id dag.TaskID, now units.Duration) {
 		r.dispatch(now)
 		return
 	}
-	rec := r.runRec[id]
-	n := rec.checkpointsFor(r.runRem[id])
+	rec := r.recovery(id)
+	n := rec.checkpointsFor(r.tasks[id].runRem)
 	r.checkpoints += n
 	r.ckptWritten += units.Bytes(n) * rec.Bytes
 	if r.trace != nil {
@@ -248,30 +258,30 @@ func (r *runner) completeTask(id dag.TaskID, now units.Duration) {
 		r.fail(err)
 		return
 	}
-	r.phase[id] = phaseDone
+	r.tasks[id].phase = phaseDone
 	r.doneTasks++
 	t := r.wf.Task(id)
 
 	switch r.cfg.Mode {
 	case datamgmt.Regular, datamgmt.Cleanup:
-		for _, name := range t.Outputs {
-			f := r.wf.File(name)
-			if err := r.storage.Put(now, name, f.Size); err != nil {
+		for _, out := range r.wf.DeclaredOutputIDs(id) {
+			if err := r.storage.Put(now, int(out), r.wf.FileByID(out).Size); err != nil {
 				r.fail(err)
 				return
 			}
 		}
 		if r.analyzer != nil {
-			for _, dead := range r.analyzer.TaskDone(id) {
-				if err := r.storage.Delete(now, dead); err != nil {
+			r.dead = r.analyzer.TaskDone(id, r.dead[:0])
+			for _, dead := range r.dead {
+				if err := r.storage.Delete(now, int(dead)); err != nil {
 					r.fail(err)
 					return
 				}
 			}
 		}
 		for _, c := range t.Children() {
-			r.depsLeft[c]--
-			if r.depsLeft[c] == 0 {
+			r.tasks[c].depsLeft--
+			if r.tasks[c].depsLeft == 0 {
 				r.enqueueReady(c)
 			}
 		}

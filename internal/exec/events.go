@@ -5,8 +5,7 @@ package exec
 // every task's inputs and outputs individually.
 
 import (
-	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cloudsim"
 	"repro/internal/dag"
@@ -19,10 +18,9 @@ import (
 func (r *runner) startResident() {
 	// Phase 1: stage in every external input, serialized on the link in
 	// name order.  Each file becomes resident on arrival.
-	start := r.avail(r.eng.Now())
+	start := r.avail(r.now)
 	stageInEnd := start
 	for _, f := range r.wf.ExternalInputs() {
-		f := f
 		s, end, err := r.reserveAvail(start, f.Size, cloudsim.In)
 		if err != nil {
 			r.fail(err)
@@ -34,24 +32,23 @@ func (r *runner) startResident() {
 				Bytes: int64(f.Size), Dir: "in", End: end.Seconds(),
 			})
 		}
-		r.eng.Schedule(end, func(now units.Duration) {
-			if err := r.storage.Put(now, f.Name, f.Size); err != nil {
-				r.fail(err)
-			}
-		})
+		r.post(end, evStageIn, -1, uint32(f.ID()))
 		if end > stageInEnd {
 			stageInEnd = end
 		}
 	}
 	// Phase 2 begins when all inputs are resident.
-	r.eng.Schedule(stageInEnd, func(now units.Duration) {
-		for _, t := range r.wf.Tasks() {
-			if r.depsLeft[t.ID] == 0 {
-				r.enqueueReady(t.ID)
-			}
+	r.post(stageInEnd, evExecStart, -1, 0)
+}
+
+// beginExecution readies every root task once the inputs are resident.
+func (r *runner) beginExecution() {
+	for _, t := range r.wf.Tasks() {
+		if r.tasks[t.ID].depsLeft == 0 {
+			r.enqueueReady(t.ID)
 		}
-		r.dispatch(now)
-	})
+	}
+	r.dispatch(r.now)
 }
 
 func (r *runner) finishResident(now units.Duration) {
@@ -78,30 +75,41 @@ func (r *runner) finishResident(now units.Duration) {
 			lastEnd = end
 		}
 	}
-	r.eng.Schedule(lastEnd, func(t units.Duration) {
-		for _, f := range r.wf.Files() {
-			if r.storage.Has(f.Name) {
-				if err := r.storage.Delete(t, f.Name); err != nil {
-					r.fail(err)
-					return
-				}
+	r.post(lastEnd, evFinish, -1, 0)
+}
+
+// finishStageOut deletes every resident file once the outputs reached
+// the user.  That instant is the makespan: the run is over.
+func (r *runner) finishStageOut() {
+	for _, f := range r.wf.Files() {
+		if slot := int(f.ID()); r.storage.Has(slot) {
+			if err := r.storage.Delete(r.now, slot); err != nil {
+				r.fail(err)
+				return
 			}
 		}
-		r.makespan = t
-	})
+	}
+	r.makespan = r.now
+	r.stopped = true
 }
 
 // ---- Remote I/O ----
 
-// remoteKey namespaces a file per task: in remote I/O two concurrent
-// tasks each hold their own staged copy of a shared input.
-func remoteKey(id dag.TaskID, file string) string {
-	return fmt.Sprintf("t%d/%s", id, file)
+// remoteSlot returns the storage slot of task id's staged copy of f,
+// one of its inputs or (out) outputs.  The task's block holds its inputs
+// then its outputs, each in name order, which is FileID order.
+func (r *runner) remoteSlot(id dag.TaskID, f dag.FileID, out bool) int {
+	slot, ids := r.remoteBase[id], r.wf.InputIDs(id)
+	if out {
+		slot, ids = slot+len(ids), r.wf.OutputIDs(id)
+	}
+	i, _ := slices.BinarySearch(ids, f)
+	return slot + i
 }
 
 func (r *runner) startRemoteIO() {
 	for _, t := range r.wf.Tasks() {
-		if r.depsLeft[t.ID] == 0 {
+		if r.tasks[t.ID].depsLeft == 0 {
 			r.beginStaging(t.ID)
 		}
 	}
@@ -112,14 +120,10 @@ func (r *runner) startRemoteIO() {
 // full bandwidth; concurrent tasks do not contend (each remote-I/O task
 // is an independent stream in the paper's model).
 func (r *runner) beginStaging(id dag.TaskID) {
-	t := r.wf.Task(id)
-	r.phase[id] = phaseStaging
-	cur := r.eng.Now()
-	inputs := append([]string(nil), t.Inputs...)
-	sort.Strings(inputs)
-	for _, name := range inputs {
-		f := r.wf.File(name)
-		key := remoteKey(id, name)
+	r.tasks[id].phase = phaseStaging
+	cur := r.now
+	for i, in := range r.wf.InputIDs(id) {
+		f := r.wf.FileByID(in)
 		cur = r.avail(cur)
 		s, end, err := r.link.Record(cur, f.Size, cloudsim.In)
 		if err != nil {
@@ -128,43 +132,30 @@ func (r *runner) beginStaging(id dag.TaskID) {
 		}
 		if r.trace != nil {
 			r.trace.Record(s, obs.Event{
-				Kind: obs.KindTransfer, Task: int(id), Name: name,
+				Kind: obs.KindTransfer, Task: int(id), Name: f.Name,
 				Bytes: int64(f.Size), Dir: "in", End: end.Seconds(),
 			})
 		}
-		size := f.Size
-		r.eng.Schedule(end, func(at units.Duration) {
-			if err := r.storage.Put(at, key, size); err != nil {
-				r.fail(err)
-			}
-		})
+		r.post(end, evFetched, id, uint32(i))
 		cur = end
 	}
-	r.eng.Schedule(cur, func(at units.Duration) {
-		r.phase[id] = phaseReady
-		r.enqueueReady(id)
-		r.dispatch(at)
-	})
+	r.post(cur, evStaged, id, 0)
 }
 
 // finishRemoteTask stages out every output of a completed remote-I/O
 // task, then deletes the task's staged inputs and outputs.
 func (r *runner) finishRemoteTask(id dag.TaskID, now units.Duration) {
-	t := r.wf.Task(id)
 	// Outputs become resident at completion...
-	for _, name := range t.Outputs {
-		f := r.wf.File(name)
-		if err := r.storage.Put(now, remoteKey(id, name), f.Size); err != nil {
+	for _, out := range r.wf.DeclaredOutputIDs(id) {
+		if err := r.storage.Put(now, r.remoteSlot(id, out, true), r.wf.FileByID(out).Size); err != nil {
 			r.fail(err)
 			return
 		}
 	}
 	// ...are transferred to the user over the task's own stream...
-	outputs := append([]string(nil), t.Outputs...)
-	sort.Strings(outputs)
 	cur := now
-	for _, name := range outputs {
-		f := r.wf.File(name)
+	for _, out := range r.wf.OutputIDs(id) {
+		f := r.wf.FileByID(out)
 		cur = r.avail(cur)
 		s, end, err := r.link.Record(cur, f.Size, cloudsim.Out)
 		if err != nil {
@@ -173,39 +164,45 @@ func (r *runner) finishRemoteTask(id dag.TaskID, now units.Duration) {
 		}
 		if r.trace != nil {
 			r.trace.Record(s, obs.Event{
-				Kind: obs.KindTransfer, Task: int(id), Name: name,
+				Kind: obs.KindTransfer, Task: int(id), Name: f.Name,
 				Bytes: int64(f.Size), Dir: "out", End: end.Seconds(),
 			})
 		}
 		cur = end
 	}
 	// ...and then inputs and outputs are deleted from the resource.
-	r.eng.Schedule(cur, func(at units.Duration) {
-		for _, name := range t.Inputs {
-			if err := r.storage.Delete(at, remoteKey(id, name)); err != nil {
-				r.fail(err)
-				return
-			}
+	r.post(cur, evCleanup, id, 0)
+}
+
+// cleanupRemoteTask deletes a remote-I/O task's staged copies once its
+// outputs reached the user, releasing its children.  The last task's
+// cleanup is the makespan: the run is over.
+func (r *runner) cleanupRemoteTask(id dag.TaskID) {
+	for _, in := range r.wf.DeclaredInputIDs(id) {
+		if err := r.storage.Delete(r.now, r.remoteSlot(id, in, false)); err != nil {
+			r.fail(err)
+			return
 		}
-		for _, name := range t.Outputs {
-			if err := r.storage.Delete(at, remoteKey(id, name)); err != nil {
-				r.fail(err)
-				return
-			}
+	}
+	for _, out := range r.wf.DeclaredOutputIDs(id) {
+		if err := r.storage.Delete(r.now, r.remoteSlot(id, out, true)); err != nil {
+			r.fail(err)
+			return
 		}
-		r.stagedOut++
-		r.makespan = at
-		// Children depend on the data reaching the user.
-		for _, c := range t.Children() {
-			r.depsLeft[c]--
-			if r.depsLeft[c] == 0 {
-				r.beginStaging(c)
-			}
+	}
+	r.stagedOut++
+	r.makespan = r.now
+	// Children depend on the data reaching the user.
+	for _, c := range r.wf.Task(id).Children() {
+		r.tasks[c].depsLeft--
+		if r.tasks[c].depsLeft == 0 {
+			r.beginStaging(c)
 		}
-		if r.stagedOut == r.wf.NumTasks() {
-			r.execEnd = at
-			r.capacityAtExecEnd = r.cluster.CapacityProcSeconds(at)
-			r.reliableCapAtExecEnd = r.cluster.ReliableCapacityProcSeconds(at)
-		}
-	})
+	}
+	if r.stagedOut == r.wf.NumTasks() {
+		r.execEnd = r.now
+		r.capacityAtExecEnd = r.cluster.CapacityProcSeconds(r.now)
+		r.reliableCapAtExecEnd = r.cluster.ReliableCapacityProcSeconds(r.now)
+		r.stopped = true
+	}
 }

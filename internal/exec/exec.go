@@ -29,9 +29,10 @@
 // reproduces the historical hard-coded behavior exactly.
 //
 // The package is split by concern: config.go (run configuration),
-// metrics.go (measurements), events.go (data-staging event flows),
-// dispatch.go (processor scheduling) and preempt.go (spot reclaims and
-// recovery); this file holds the entry points and the runner core.
+// metrics.go (measurements), loop.go (the typed-event loop), events.go
+// (data-staging event flows), dispatch.go (processor scheduling) and
+// preempt.go (spot reclaims and recovery); this file holds the entry
+// points and the runner core.
 package exec
 
 import (
@@ -44,7 +45,6 @@ import (
 	"repro/internal/datamgmt"
 	"repro/internal/obs"
 	"repro/internal/policy"
-	"repro/internal/sim"
 	"repro/internal/units"
 )
 
@@ -122,12 +122,11 @@ func RunContext(ctx context.Context, wf *dag.Workflow, cfg Config) (Metrics, err
 		wf:       wf,
 		cfg:      cfg,
 		policies: resolved,
-		eng:      &sim.Engine{},
-		storage:  cloudsim.NewStorage(cfg.RecordCurve),
 		link:     link,
 		cluster:  cluster,
 		trace:    cfg.Recorder,
 	}
+	r.layoutStorage()
 	if cfg.Mode == datamgmt.Cleanup {
 		if r.analyzer, err = datamgmt.NewAnalyzer(wf); err != nil {
 			return Metrics{}, err
@@ -139,7 +138,7 @@ func RunContext(ctx context.Context, wf *dag.Workflow, cfg Config) (Metrics, err
 	return r.run(ctx)
 }
 
-type taskPhase int
+type taskPhase uint8
 
 const (
 	phaseWaiting taskPhase = iota // dependencies outstanding
@@ -149,47 +148,71 @@ const (
 	phaseDone                     // completed (remote I/O: outputs may still be in flight)
 )
 
+// taskState is one task's execution state.  The preemption bookkeeping
+// lives here too: the attempt counter disarms stale completion events,
+// banked is the useful work preserved across kills, runStart/runRem
+// describe the attempt in flight, interval is its effective checkpoint
+// interval (the checkpoint trigger may space each attempt's snapshots
+// differently) and onReliable records which sub-pool it occupies.
+type taskState struct {
+	banked     units.Duration
+	runStart   units.Duration
+	runRem     units.Duration
+	interval   units.Duration
+	attempt    uint32
+	depsLeft   int32
+	span       int32 // schedule index of the attempt in flight, -1 for none
+	phase      taskPhase
+	onReliable bool
+}
+
 type runner struct {
 	wf       *dag.Workflow
 	cfg      Config
 	policies policy.Resolved
 
-	eng      *sim.Engine
+	// The event loop's state (loop.go): the clock, the last sequence
+	// number handed out, the pending events, and whether the loop must
+	// stop (the run is over or a handler failed).
+	now     units.Duration
+	seq     uint64
+	queue   eventQueue
+	stopped bool
+
 	storage  *cloudsim.Storage
 	link     *cloudsim.Link
 	cluster  *cloudsim.Cluster
 	analyzer *datamgmt.Analyzer
+	// Storage slots (see layoutStorage): task t's staged remote-I/O
+	// copies start at remoteBase[t]; its checkpoint image is at
+	// ckptBase+t.
+	remoteBase []int
+	ckptBase   int
 
-	phase            []taskPhase
-	depsLeft         []int
-	ready            []dag.TaskID // compute-ready, kept sorted by ID
+	tasks            []taskState  // by task ID
+	ready            []dag.TaskID // compute-ready from readyHead on, kept in policy order
+	readyHead        int          // dispatched prefix of ready, reused once drained or full
+	batch            []dag.TaskID // dispatch's reused batch buffer
+	dead             []dag.FileID // cleanup's reused dead-file buffer
 	doneTasks        int
 	stagedOut        int // remote I/O: tasks whose outputs reached the user
 	execEnd          units.Duration
 	makespan         units.Duration
 	dispatchDeferred bool
 	schedule         []TaskSpan
-	spanOf           map[dag.TaskID]int // running task -> its schedule index
 	failRNG          *rand.Rand
 	retries          int
 
-	// Preemption bookkeeping, all indexed by task ID: the attempt
-	// counter disarms stale completion events, banked is the useful work
-	// preserved across kills, runStart/runRem describe the attempt in
-	// flight, onReliable records which sub-pool the attempt occupies,
-	// runRec is the attempt's effective recovery policy (the checkpoint
-	// trigger may space each attempt's snapshots differently).
-	attempt      []uint32
-	banked       []units.Duration
-	runStart     []units.Duration
-	runRem       []units.Duration
-	onReliable   []bool
-	runRec       []Recovery
 	preempted    int
 	wasted       float64
 	checkpoints  int
 	ckptWritten  units.Bytes
 	ckptRestored units.Bytes
+	// pickVictims' buffers, reused across reclaims.
+	cands   []policy.VictimCandidate
+	scores  []float64
+	perm    []int
+	victims []victimChoice
 
 	// trace is the optional flight recorder.  Every record is guarded by
 	// a nil check so untraced runs -- the cacheable common case -- pay
@@ -210,12 +233,36 @@ type runner struct {
 	err error
 }
 
+// fail records the run's first error and stops the loop after the
+// current event.
 func (r *runner) fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
-	r.eng.Stop()
+	r.stopped = true
 }
+
+// layoutStorage sizes the storage to the run's slots.  The resident
+// models keep file f in slot f; remote I/O gives every task a block of
+// slots for its staged copies (inputs, then outputs, each in name
+// order), because concurrent tasks each hold their own copy of a shared
+// file.  Task t's checkpoint image follows in slot ckptBase+t.
+func (r *runner) layoutStorage() {
+	n := r.wf.NumTasks()
+	if r.cfg.Mode == datamgmt.RemoteIO {
+		r.remoteBase = make([]int, n)
+		for i, t := range r.wf.Tasks() {
+			r.remoteBase[i] = r.ckptBase
+			r.ckptBase += len(t.Inputs) + len(t.Outputs)
+		}
+	} else {
+		r.ckptBase = r.wf.NumFiles()
+	}
+	r.storage = cloudsim.NewStorage(r.ckptBase+n, r.cfg.RecordCurve)
+}
+
+// ckptSlot is the storage slot of a task's checkpoint image.
+func (r *runner) ckptSlot(id dag.TaskID) int { return r.ckptBase + int(id) }
 
 // avail returns the earliest time >= now at which the storage service is
 // reachable.
@@ -235,14 +282,11 @@ func (r *runner) reserveAvail(now units.Duration, size units.Bytes, dir cloudsim
 
 func (r *runner) run(ctx context.Context) (Metrics, error) {
 	n := r.wf.NumTasks()
-	r.phase = make([]taskPhase, n)
-	r.depsLeft = make([]int, n)
-	r.attempt = make([]uint32, n)
-	r.banked = make([]units.Duration, n)
-	r.runStart = make([]units.Duration, n)
-	r.runRem = make([]units.Duration, n)
-	r.onReliable = make([]bool, n)
-	r.runRec = make([]Recovery, n)
+	r.tasks = make([]taskState, n)
+	for i, t := range r.wf.Tasks() {
+		r.tasks[i].depsLeft = int32(len(t.Parents()))
+		r.tasks[i].span = -1
+	}
 	if r.cluster.Reliable() > 0 && r.cluster.Reliable() < r.cluster.Provisioned() {
 		bw := r.cfg.Bandwidth
 		if bw == 0 {
@@ -254,32 +298,16 @@ func (r *runner) run(ctx context.Context) (Metrics, error) {
 				r.policies.Placement.Name(), len(r.prio), n)
 		}
 	}
-	if r.cfg.RecordSchedule {
-		r.spanOf = make(map[dag.TaskID]int)
-	}
-	for _, t := range r.wf.Tasks() {
-		r.depsLeft[t.ID] = len(t.Parents())
-	}
 
 	// Everything waits for the virtual machines to boot; the provisioned
 	// pool is billed from launch, so the delay lands inside ExecTime.
-	r.eng.Schedule(r.cfg.VMStartup, func(units.Duration) {
-		switch r.cfg.Mode {
-		case datamgmt.Regular, datamgmt.Cleanup:
-			r.startResident()
-		case datamgmt.RemoteIO:
-			r.startRemoteIO()
-		}
-	})
-
+	r.post(r.cfg.VMStartup, evStart, -1, 0)
 	// Capacity reclaims fire on the absolute simulation clock, like
-	// outages.
-	for _, p := range r.cfg.Preemptions {
-		p := p
-		r.eng.Schedule(p.Reclaim, func(now units.Duration) { r.reclaim(p, now) })
-	}
+	// outages.  The loop streams them from cfg.Preemptions, ranked as if
+	// queued here, one sequence number each.
+	r.seq += uint64(len(r.cfg.Preemptions))
 
-	if _, err := r.eng.RunContext(ctx); err != nil {
+	if err := r.loop(ctx); err != nil {
 		return Metrics{}, fmt.Errorf("exec: %w", err)
 	}
 	if r.err != nil {

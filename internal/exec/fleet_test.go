@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/dag"
@@ -393,5 +396,78 @@ func TestSpotScheduleInstances(t *testing.T) {
 	}
 	if _, err := SpotScheduleInstances(3600, 0, 1, 0, 60, 1); err == nil {
 		t.Error("zero procs accepted")
+	}
+	// Downtime spaces an instance's reclaims, so no rate -- however
+	// extreme -- yields more than horizon/down+1 reclaims per instance.
+	for _, rate := range []float64{1e12, math.Inf(1)} {
+		s, err := SpotScheduleInstances(horizon, 8, rate, warning, down, 1)
+		if err != nil {
+			t.Fatalf("rate %v: %v", rate, err)
+		}
+		if limit := 8 * int(horizon/down+1); len(s) == 0 || len(s) > limit {
+			t.Errorf("rate %v sampled %d reclaims, want 1..%d", rate, len(s), limit)
+		}
+		if err := validatePreemptions(s, 9, 0); err != nil {
+			t.Errorf("rate %v: sampled schedule invalid: %v", rate, err)
+		}
+	}
+}
+
+// TestSpotScheduleInstancesMatchesReference pins the sampler's output
+// to its reference construction -- a fresh rand source per instance and
+// a stable sort of the concatenated streams by (Reclaim, Warning,
+// Restore) -- across fleet sizes that are not powers of two and
+// horizons short enough that some instances draw nothing.
+func TestSpotScheduleInstancesMatchesReference(t *testing.T) {
+	reference := func(horizon units.Duration, procs int, rate float64, warning, down units.Duration, seed int64) []Preemption {
+		var out []Preemption
+		for i := 0; i < procs; i++ {
+			rng := rand.New(rand.NewSource(seed + int64(i)*-0x61c8864680b583eb))
+			var t units.Duration
+			for {
+				t += units.Duration(rng.ExpFloat64() / rate * units.SecondsPerHour)
+				if t >= horizon {
+					break
+				}
+				w := warning - units.Duration(rng.Float64()*0.5*float64(warning))
+				if w > t {
+					w = t
+				}
+				out = append(out, Preemption{Reclaim: t, Processors: 1, Warning: w, Restore: t + down})
+				t += down
+			}
+		}
+		sort.SliceStable(out, func(i, j int) bool {
+			a, b := out[i], out[j]
+			if a.Reclaim != b.Reclaim {
+				return a.Reclaim < b.Reclaim
+			}
+			if a.Warning != b.Warning {
+				return a.Warning < b.Warning
+			}
+			return a.Restore < b.Restore
+		})
+		return out
+	}
+	for _, tc := range []struct {
+		horizon units.Duration
+		procs   int
+		rate    float64
+		seed    int64
+	}{
+		{3600, 1, 2, 1},
+		{1800, 7, 0.5, 2},
+		{24 * 3600, 13, 1, 3},
+		{48 * 3600, 128, 1, 4},
+		{600, 64, 0.1, 5},
+	} {
+		got, err := SpotScheduleInstances(tc.horizon, tc.procs, tc.rate, 120, 600, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := reference(tc.horizon, tc.procs, tc.rate, 120, 600, tc.seed)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%+v: schedule of %d reclaims differs from the %d-reclaim reference", tc, len(got), len(want))
+		}
 	}
 }

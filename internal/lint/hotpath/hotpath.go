@@ -3,11 +3,11 @@
 //
 //	//repro:hot
 //
-// in its doc comment -- the exec dispatch/event loops, the event-engine
-// kernel, the sweep worker -- promises that its loops run millions of
-// times per request, so per-iteration allocation is a performance bug
-// the benchmarks will eventually catch; this analyzer catches it at
-// lint time and names the allocation site.
+// in its doc comment -- the exec event loop and dispatcher, the sweep
+// worker -- promises that its loops run millions of times per request,
+// so per-iteration allocation is a performance bug the benchmarks will
+// eventually catch; this analyzer catches it at lint time and names the
+// allocation site.
 //
 // Inside a hot function's loop bodies the analyzer forbids:
 //

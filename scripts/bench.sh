@@ -1,10 +1,11 @@
 #!/bin/sh
 # Run the benchmark suites with repeats and emit one baseline file per
-# suite at the repo root -- BENCH_exec.json (executor + event engine),
-# BENCH_sweep.json (sweep-engine grid kernel) and BENCH_store.json
-# (disk-store put/get/scan): one JSON object per benchmark run, carrying
-# name, iterations, ns/op and (when the suite reports them) B/op and
-# allocs/op.
+# suite at the repo root -- BENCH_exec.json (executor + event loop, and
+# a spot run through core), BENCH_sweep.json (sweep-engine grid
+# kernel), BENCH_store.json (disk-store put/get/scan) and
+# BENCH_montage.json (workflow generation): one JSON object per
+# benchmark run, carrying name, iterations, ns/op and (when the suite
+# reports them) B/op and allocs/op.
 #
 #   make bench                 # 3 repeats, writes BENCH_*.json
 #   BENCH_COUNT=5 make bench   # more repeats
@@ -47,9 +48,10 @@ fi
 # Adding a line here (plus committing the baseline it writes) is all it
 # takes to put a new suite under the regression gate.
 suites() {
-	echo "exec ./internal/exec/ ./internal/sim/"
+	echo "exec ./internal/exec/ ./internal/core/"
 	echo "sweep ./internal/sweep/"
 	echo "store ./internal/store/"
+	echo "montage ./internal/montage/"
 }
 
 # bench_to_json converts `go test -bench` output to the baseline JSON.
