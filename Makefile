@@ -3,13 +3,23 @@
 
 GO ?= go
 
-.PHONY: build test vet lint lint-vet race bench bench-check smoke smoke-trace smoke-store check
+.PHONY: fmt build test test-e2ebench vet lint lint-vet race bench bench-check smoke smoke-trace smoke-store check
+
+# fmt fails, listing the files, when any Go file needs gofmt.
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# test-e2ebench tests the end-to-end benchmark, a nested module that the
+# root `go test ./...` skips.
+test-e2ebench:
+	cd e2ebench && $(GO) test ./...
 
 # vet the whole module; the CI gate alongside test.
 vet:
@@ -68,4 +78,6 @@ smoke-trace:
 smoke-store:
 	sh scripts/smoke_store.sh
 
-check: build vet lint test race smoke smoke-trace smoke-store
+# check runs CI's fmt, build, vet, lint, lint-vet, test (both modules)
+# and race gates, then the three smoke scripts.
+check: fmt build vet lint lint-vet test test-e2ebench race smoke smoke-trace smoke-store

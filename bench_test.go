@@ -1,328 +1,33 @@
 package repro
 
-// One benchmark per table and figure of the paper's evaluation.  Each
-// bench regenerates the artifact via internal/experiments, prints the
-// reproduced rows once (the same rows/series the paper reports), and
-// exposes the headline numbers as custom benchmark metrics so regression
-// runs can track them.
+// Benchmarks over the paper's evaluation.  BenchmarkExperiments
+// regenerates every registered experiment (the tables the goldens in
+// internal/experiments pin), one sub-benchmark per experiments.Registry
+// entry; the sweep pair measures the parallel sweep engine against its
+// serial reference.
 //
-// Run with:  go test -bench=. -benchmem
+// Run with:  go test -run xxx -bench . -benchmem
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/montage"
-	"repro/internal/report"
 )
 
-var printOnce sync.Map // figure name -> *sync.Once
-
-func printTables(name string, tables ...*report.Table) {
-	v, _ := printOnce.LoadOrStore(name, new(sync.Once))
-	v.(*sync.Once).Do(func() {
-		for _, t := range tables {
-			fmt.Fprintln(os.Stdout)
-			if err := t.WriteText(os.Stdout); err != nil {
-				panic(err)
+// BenchmarkExperiments runs each registered experiment at its default
+// parameters.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.Run(context.Background(), e.Name, experiments.Params{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-}
-
-// BenchmarkTableCCR regenerates the §6.3 CCR table (E1).
-func BenchmarkTableCCR(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CCRTable(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("ccr", res.Table())
-			b.ReportMetric(res.Rows[0].CCR, "ccr-1deg")
-			b.ReportMetric(res.Rows[2].CCR, "ccr-4deg")
-		}
-	}
-}
-
-func benchProvisioning(b *testing.B, name string, fn func(context.Context) (experiments.ProvisioningFigure, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		f, err := fn(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables(name, f.CostTable(), f.TimeTable())
-			first, last := f.Points[0], f.Points[len(f.Points)-1]
-			b.ReportMetric(first.Result.Cost.Total().Dollars(), "total$-1proc")
-			b.ReportMetric(last.Result.Cost.Total().Dollars(), "total$-128proc")
-			b.ReportMetric(first.Result.Metrics.ExecTime.Hours(), "hours-1proc")
-			b.ReportMetric(last.Result.Metrics.ExecTime.Hours(), "hours-128proc")
-		}
-	}
-}
-
-// BenchmarkFig4 regenerates the 1-degree provisioning sweep (E2).
-func BenchmarkFig4(b *testing.B) { benchProvisioning(b, "fig4", experiments.Fig4) }
-
-// BenchmarkFig5 regenerates the 2-degree provisioning sweep (E3).
-func BenchmarkFig5(b *testing.B) { benchProvisioning(b, "fig5", experiments.Fig5) }
-
-// BenchmarkFig6 regenerates the 4-degree provisioning sweep (E4).
-func BenchmarkFig6(b *testing.B) { benchProvisioning(b, "fig6", experiments.Fig6) }
-
-func benchDataManagement(b *testing.B, name string, fn func(context.Context) (experiments.DataManagementFigure, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		f, err := fn(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables(name, f.StorageTable(), f.TransferTable(), f.CostTable())
-			b.ReportMetric(f.Results[RemoteIO].Cost.DataManagement().Dollars(), "dm$-remote")
-			b.ReportMetric(f.Results[Regular].Cost.DataManagement().Dollars(), "dm$-regular")
-			b.ReportMetric(f.Results[Cleanup].Cost.DataManagement().Dollars(), "dm$-cleanup")
-		}
-	}
-}
-
-// BenchmarkFig7 regenerates the 1-degree data-management comparison (E5).
-func BenchmarkFig7(b *testing.B) { benchDataManagement(b, "fig7", experiments.Fig7) }
-
-// BenchmarkFig8 regenerates the 2-degree comparison (E6).
-func BenchmarkFig8(b *testing.B) { benchDataManagement(b, "fig8", experiments.Fig8) }
-
-// BenchmarkFig9 regenerates the 4-degree comparison (E7).
-func BenchmarkFig9(b *testing.B) { benchDataManagement(b, "fig9", experiments.Fig9) }
-
-// BenchmarkFig10 regenerates the CPU-vs-DM cost summary (E8).
-func BenchmarkFig10(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("fig10", res.Table())
-			b.ReportMetric(res.Rows[0].CPUCost.Dollars(), "cpu$-1deg")
-			b.ReportMetric(res.Rows[2].CPUCost.Dollars(), "cpu$-4deg")
-			b.ReportMetric(res.Rows[2].Total[Regular].Dollars(), "total$-4deg-regular")
-		}
-	}
-}
-
-// BenchmarkFig11 regenerates the CCR sensitivity sweep (E9).
-func BenchmarkFig11(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig11(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("fig11", res.Table())
-			first, last := res.Points[0], res.Points[len(res.Points)-1]
-			b.ReportMetric(first.Result.Cost.Total().Dollars(), "total$-ccr-base")
-			b.ReportMetric(last.Result.Cost.Total().Dollars(), "total$-ccr-max")
-		}
-	}
-}
-
-// BenchmarkQ2bArchive regenerates the archive break-even analysis (E10).
-func BenchmarkQ2bArchive(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Q2b(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("q2b", res.Table())
-			b.ReportMetric(res.BreakEven.MonthlyStorageCost.Dollars(), "archive$/month")
-			b.ReportMetric(res.BreakEven.RequestsPerMonth, "breakeven-req/month")
-		}
-	}
-}
-
-// BenchmarkQ3WholeSky regenerates the whole-sky campaign costing (E11).
-func BenchmarkQ3WholeSky(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Q3WholeSky(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("q3sky", res.Table())
-			b.ReportMetric(res.FourDeg.TotalCost.Dollars(), "wholesky$-4deg")
-			b.ReportMetric(res.SixDeg.TotalCost.Dollars(), "wholesky$-6deg")
-		}
-	}
-}
-
-// BenchmarkQ3StoreVsRecompute regenerates the storage horizons (E12).
-func BenchmarkQ3StoreVsRecompute(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Q3Store(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("q3store", res.Table())
-			b.ReportMetric(res.Rows[0].Horizon.Months, "months-1deg")
-			b.ReportMetric(res.Rows[2].Horizon.Months, "months-4deg")
-		}
-	}
-}
-
-// BenchmarkAblationGranularity probes per-hour vs per-second billing.
-func BenchmarkAblationGranularity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationGranularity(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("ablation-granularity", res.Table())
-			last := res.Rows[len(res.Rows)-1]
-			b.ReportMetric(last.PerHour.Dollars()/last.PerSecond.Dollars(), "hourly/second-128proc")
-		}
-	}
-}
-
-// BenchmarkAblationPlanComparison probes provisioned vs on-demand
-// charging (the paper's $13.92-vs-$8.89 example).
-func BenchmarkAblationPlanComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationPlanComparison(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("ablation-plan", res.Table())
-			last := res.Rows[len(res.Rows)-1]
-			b.ReportMetric(last.Provisioned.Dollars(), "provisioned$-4deg")
-			b.ReportMetric(last.OnDemand.Dollars(), "ondemand$-4deg")
-		}
-	}
-}
-
-// BenchmarkAblationVMStartup probes the §8 VM-boot cost extension.
-func BenchmarkAblationVMStartup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationVMStartup(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("ablation-startup", res.Table())
-			last := res.Rows[len(res.Rows)-1]
-			b.ReportMetric(last.Total.Dollars(), "total$-15min-boot")
-		}
-	}
-}
-
-// BenchmarkAblationOutage probes the §8 storage-availability extension.
-func BenchmarkAblationOutage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationOutage(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("ablation-outage", res.Table())
-			last := res.Rows[len(res.Rows)-1]
-			b.ReportMetric(last.Makespan.Hours(), "hours-2h-outage")
-		}
-	}
-}
-
-// BenchmarkAblationScheduler probes list-scheduler ready-queue policies.
-func BenchmarkAblationScheduler(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationScheduler(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("ablation-scheduler", res.Table())
-		}
-	}
-}
-
-// BenchmarkAblationClustering probes Pegasus-style task clustering.
-func BenchmarkAblationClustering(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationClustering(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("ablation-clustering", res.Table())
-			last := res.Rows[len(res.Rows)-1]
-			b.ReportMetric(last.PerSecond.Dollars(), "total$-factor16")
-		}
-	}
-}
-
-// BenchmarkAblationReliability probes the §8 task-failure extension.
-func BenchmarkAblationReliability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationReliability(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("ablation-reliability", res.Table())
-			last := res.Rows[len(res.Rows)-1]
-			b.ReportMetric(float64(last.Retries), "retries-p25")
-		}
-	}
-}
-
-// BenchmarkOverloadScenario regenerates the introduction's cloud-bursting
-// scenario.
-func BenchmarkOverloadScenario(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Overload(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			printTables("overload", res.Table())
-			b.ReportMetric(res.With.CloudSpend.Dollars(), "cloud-spend$")
-			b.ReportMetric(float64(res.With.SLAViolations), "sla-violations")
-		}
-	}
-}
-
-// BenchmarkSimulatorThroughput measures the raw simulator: one 1-degree
-// regular-mode run per iteration (micro-benchmark for the engine).
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	wf, err := Generate(OneDegree())
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan := DefaultPlan()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(wf, plan); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGenerate4Degree measures workload generation at the largest
-// preset (3,027 tasks).
-func BenchmarkGenerate4Degree(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(FourDegree()); err != nil {
-			b.Fatal(err)
-		}
+		})
 	}
 }
 

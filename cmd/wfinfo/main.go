@@ -1,7 +1,10 @@
 // Command wfinfo inspects a workflow: given a DAX XML file (or a preset
 // name), it prints the structural statistics the paper reports for its
 // workloads -- task counts by type, level widths, data volumes, CCR --
-// and the concrete-plan summary (stage-in/out and cleanup job counts).
+// and the concrete-plan summary (stage-in/out and cleanup job counts and
+// the bytes they move).  The plan table is counted straight from the
+// compiled workflow's file lists, the same lists the executor walks
+// when it stages, computes and cleans up in each data-management mode.
 //
 // Usage:
 //
@@ -21,7 +24,6 @@ import (
 	"repro/internal/datamgmt"
 	"repro/internal/dax"
 	"repro/internal/montage"
-	"repro/internal/planner"
 	"repro/internal/report"
 	"repro/internal/units"
 )
@@ -129,15 +131,47 @@ func run(preset, daxPath, modeStr string, w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 
-	plan, err := planner.Build(wf, planner.Options{Mode: mode})
-	if err != nil {
-		return err
+	return planTable(wf, mode).WriteText(w)
+}
+
+// planTable summarises the concrete plan of the paper's Fig. 2 for one
+// data-management mode.  The resident modes stage every external input
+// in and every output out once, and cleanup mode adds one cleanup job
+// per file that some task reads and the user does not get back.  Remote
+// I/O gives every task its own stage-in of its inputs and stage-out of
+// its outputs, and keeps nothing to clean up.
+func planTable(wf *dag.Workflow, mode datamgmt.Mode) *report.Table {
+	stageIn, bytesIn := len(wf.ExternalInputs()), wf.InputBytes()
+	stageOut, bytesOut := len(wf.OutputFiles()), wf.OutputBytes()
+	cleanup := 0
+	switch mode {
+	case datamgmt.RemoteIO:
+		stageIn, bytesIn = wf.NumTasks(), 0
+		stageOut, bytesOut = wf.NumTasks(), 0
+		for _, t := range wf.Tasks() {
+			bytesIn += fileBytes(wf, wf.InputIDs(t.ID))
+			bytesOut += fileBytes(wf, wf.OutputIDs(t.ID))
+		}
+	case datamgmt.Cleanup:
+		for _, f := range wf.Files() {
+			if !f.Output && len(f.Consumers()) > 0 {
+				cleanup++
+			}
+		}
 	}
-	counts := plan.CountByKind()
-	planTable := report.New(fmt.Sprintf("Concrete plan (%v mode)", mode), "jobs", "count", "bytes")
-	planTable.MustAdd("stage-in", fmt.Sprint(counts[planner.StageIn]), plan.TransferBytes(planner.StageIn).String())
-	planTable.MustAdd("compute", fmt.Sprint(counts[planner.Compute]), "-")
-	planTable.MustAdd("cleanup", fmt.Sprint(counts[planner.CleanupJob]), "-")
-	planTable.MustAdd("stage-out", fmt.Sprint(counts[planner.StageOut]), plan.TransferBytes(planner.StageOut).String())
-	return planTable.WriteText(w)
+	t := report.New(fmt.Sprintf("Concrete plan (%v mode)", mode), "jobs", "count", "bytes")
+	t.MustAdd("stage-in", fmt.Sprint(stageIn), bytesIn.String())
+	t.MustAdd("compute", fmt.Sprint(wf.NumTasks()), "-")
+	t.MustAdd("cleanup", fmt.Sprint(cleanup), "-")
+	t.MustAdd("stage-out", fmt.Sprint(stageOut), bytesOut.String())
+	return t
+}
+
+// fileBytes sums the sizes of the given files.
+func fileBytes(wf *dag.Workflow, ids []dag.FileID) units.Bytes {
+	var sum units.Bytes
+	for _, id := range ids {
+		sum += wf.FileByID(id).Size
+	}
+	return sum
 }

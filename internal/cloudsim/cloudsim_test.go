@@ -143,11 +143,8 @@ func TestLinkSerializesFIFO(t *testing.T) {
 	if l.BytesIn() != 110 || l.BytesOut() != 50 {
 		t.Errorf("bytes in/out = %d/%d, want 110/50", l.BytesIn(), l.BytesOut())
 	}
-	if l.Transfers() != 3 {
-		t.Errorf("Transfers = %d, want 3", l.Transfers())
-	}
-	if l.BusyTime() != 16 {
-		t.Errorf("BusyTime = %v, want 16", l.BusyTime())
+	if l.FreeAt() != 101 {
+		t.Errorf("FreeAt = %v, want 101", l.FreeAt())
 	}
 }
 
@@ -170,7 +167,9 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
-// Property: link busy time equals total bytes divided by bandwidth.
+// Property: reservations made together run back to back, so the link
+// stays busy for total bytes divided by bandwidth: the last one ends at
+// the sum of their transfer times.
 func TestPropLinkBusyTime(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		l, _ := NewLink(units.Bandwidth(1000))
@@ -186,7 +185,7 @@ func TestPropLinkBusyTime(t *testing.T) {
 			total += float64(sz)
 		}
 		want := total / 1000
-		return math.Abs(l.BusyTime().Seconds()-want) <= 1e-9*math.Max(1, want)
+		return math.Abs(l.FreeAt().Seconds()-want) <= 1e-9*math.Max(1, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -194,53 +193,53 @@ func TestPropLinkBusyTime(t *testing.T) {
 }
 
 func TestClusterAccounting(t *testing.T) {
-	c, err := NewCluster(2)
+	c, err := NewFleet(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Acquire(0) {
+	if c.AcquireReliable(0) {
+		t.Fatal("reliable acquire on a uniform pool succeeded")
+	}
+	if !c.AcquireSpot(0) {
 		t.Fatal("first acquire failed")
 	}
-	if !c.Acquire(0) {
+	if !c.AcquireSpot(0) {
 		t.Fatal("second acquire failed")
 	}
-	if c.Acquire(0) {
+	if c.AcquireSpot(0) {
 		t.Fatal("third acquire on a 2-proc cluster succeeded")
 	}
 	if c.Busy() != 2 || c.Free() != 0 {
 		t.Errorf("busy/free = %d/%d, want 2/0", c.Busy(), c.Free())
 	}
-	if err := c.Release(10); err != nil {
+	if err := c.ReleaseSpot(10); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Release(20); err != nil {
+	if err := c.ReleaseSpot(20); err != nil {
 		t.Fatal(err)
 	}
-	// 2 procs busy on [0,10), 1 on [10,20): 2*10 + 1*10 = 30 proc-s.
+	// 2 procs busy on [0,10), 1 on [10,20): 2*10 + 1*10 = 30 proc-s,
+	// against 2*20 = 40 proc-s of capacity.
 	if got := c.BusyProcSeconds(20); got != 30 {
 		t.Errorf("BusyProcSeconds = %v, want 30", got)
 	}
-	// Utilization over [0,20] with 2 procs: 30/40.
-	if got := c.Utilization(20); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("Utilization = %v, want 0.75", got)
+	if got := c.CapacityProcSeconds(20); got != 40 {
+		t.Errorf("CapacityProcSeconds = %v, want 40", got)
 	}
-	if c.PeakBusy() != 2 {
-		t.Errorf("PeakBusy = %d, want 2", c.PeakBusy())
-	}
-	if c.Acquires() != 2 {
-		t.Errorf("Acquires = %d, want 2", c.Acquires())
-	}
-	if err := c.Release(20); err == nil {
+	if err := c.ReleaseSpot(20); err == nil {
 		t.Error("release with nothing busy accepted")
+	}
+	if err := c.ReleaseReliable(20); err == nil {
+		t.Error("reliable release on a uniform pool accepted")
 	}
 }
 
 func TestClusterRevokeRestore(t *testing.T) {
-	c, err := NewCluster(4)
+	c, err := NewFleet(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Acquire(0) || !c.Acquire(0) {
+	if !c.AcquireSpot(0) || !c.AcquireSpot(0) {
 		t.Fatal("acquires failed")
 	}
 	// Two idle slots can go; a third would strand a busy task.
@@ -253,7 +252,7 @@ func TestClusterRevokeRestore(t *testing.T) {
 	if err := c.Revoke(5, 1); err == nil {
 		t.Error("revoking a busy slot accepted")
 	}
-	if c.Acquire(5) {
+	if c.AcquireSpot(5) {
 		t.Error("acquire succeeded on a fully revoked pool")
 	}
 	if err := c.Restore(10, 3); err == nil {
@@ -273,10 +272,10 @@ func TestClusterRevokeRestore(t *testing.T) {
 	}
 	// The busy integral is unaffected by capacity changes: 2 busy the
 	// whole [0,15) window.
-	if err := c.Release(15); err != nil {
+	if err := c.ReleaseSpot(15); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Release(15); err != nil {
+	if err := c.ReleaseSpot(15); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.BusyProcSeconds(15); got != 30 {
@@ -285,24 +284,25 @@ func TestClusterRevokeRestore(t *testing.T) {
 }
 
 func TestClusterValidation(t *testing.T) {
-	if _, err := NewCluster(0); err == nil {
+	if _, err := NewFleet(0, 0); err == nil {
 		t.Error("zero-processor cluster accepted")
 	}
-	c, _ := NewCluster(1)
-	if got := c.Utilization(0); got != 0 {
-		t.Errorf("Utilization(0) = %v, want 0", got)
+	c, _ := NewFleet(1, 0)
+	if busy, capacity := c.BusyProcSeconds(0), c.CapacityProcSeconds(0); busy != 0 || capacity != 0 {
+		t.Errorf("integrals at 0 = %v busy / %v capacity, want 0/0", busy, capacity)
 	}
 }
 
 // Regression for the capacity-aware utilization fix: a revoke/restore
-// window mid-run must shrink the utilization denominator to the capacity
-// that was actually present, not the instantaneous final pool size.
+// window mid-run must shrink the capacity integral, the utilization
+// denominator, to the capacity that was actually present, not the
+// instantaneous final pool size.
 func TestClusterUtilizationIntegratesCapacity(t *testing.T) {
-	c, err := NewCluster(4)
+	c, err := NewFleet(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Acquire(0) || !c.Acquire(0) {
+	if !c.AcquireSpot(0) || !c.AcquireSpot(0) {
 		t.Fatal("acquires failed")
 	}
 	// 4 procs present on [0,10), 2 on [10,30), 4 again on [30,40):
@@ -313,19 +313,19 @@ func TestClusterUtilizationIntegratesCapacity(t *testing.T) {
 	if err := c.Restore(30, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Release(40); err != nil {
+	if err := c.ReleaseSpot(40); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Release(40); err != nil {
+	if err := c.ReleaseSpot(40); err != nil {
 		t.Fatal(err)
 	}
+	// 2 busy the whole [0,40): 80 proc-s, against 120 proc-s of
+	// capacity, not the 160 the static 4-proc pool would misreport.
 	if got := c.CapacityProcSeconds(40); got != 120 {
 		t.Errorf("CapacityProcSeconds = %v, want 120", got)
 	}
-	// 2 busy the whole [0,40): 80 proc-s.  Utilization = 80/120, not the
-	// 80/160 the static 4-proc denominator would misreport.
-	if got, want := c.Utilization(40), 80.0/120.0; math.Abs(got-want) > 1e-12 {
-		t.Errorf("Utilization = %v, want %v", got, want)
+	if got := c.BusyProcSeconds(40); got != 80 {
+		t.Errorf("BusyProcSeconds = %v, want 80", got)
 	}
 }
 
@@ -385,24 +385,25 @@ func TestFleetSubPools(t *testing.T) {
 	}
 }
 
-// Property: utilization is always within [0, 1].
+// Property: utilization is always within [0, 1]: the busy integral
+// never exceeds the capacity integral.
 func TestPropClusterUtilizationBounds(t *testing.T) {
 	f := func(events []bool, procs uint8) bool {
 		n := int(procs%8) + 1
-		c, _ := NewCluster(n)
+		c, _ := NewFleet(n, 0)
 		now := units.Duration(0)
 		for _, acquire := range events {
 			now += 1
 			if acquire {
-				c.Acquire(now)
+				c.AcquireSpot(now)
 			} else if c.Busy() > 0 {
-				if err := c.Release(now); err != nil {
+				if err := c.ReleaseSpot(now); err != nil {
 					return false
 				}
 			}
 		}
-		u := c.Utilization(now + 1)
-		return u >= 0 && u <= 1+1e-12
+		busy, capacity := c.BusyProcSeconds(now+1), c.CapacityProcSeconds(now+1)
+		return busy >= 0 && busy <= capacity
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

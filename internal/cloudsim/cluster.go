@@ -13,9 +13,9 @@ import (
 //
 // The pool may be split into two sub-pools for mixed-fleet scenarios: a
 // reliable on-demand floor that can never be revoked, and a revocable
-// spot remainder.  NewCluster builds a uniform (all-spot, fully
-// revocable) pool, which reproduces both the paper's reliable runs (no
-// revocations ever arrive) and the whole-pool spot scenarios.
+// spot remainder.  A fleet with no reliable floor is a uniform (all-spot,
+// fully revocable) pool, which reproduces both the paper's reliable runs
+// (no revocations ever arrive) and the whole-pool spot scenarios.
 //
 // Besides slot management it integrates busy-processor-seconds and
 // capacity-processor-seconds over time.  The former gives the on-demand
@@ -34,14 +34,6 @@ type Cluster struct {
 	spotBusyProcSeconds    float64
 	capacityProcSeconds    float64
 	reliableCapProcSeconds float64
-	peakBusy               int
-	acquires               int
-}
-
-// NewCluster returns a uniform cluster with n processors (n >= 1): no
-// reliable floor, so the whole pool is revocable.
-func NewCluster(n int) (*Cluster, error) {
-	return NewFleet(n, 0)
 }
 
 // NewFleet returns a mixed fleet: n processors total, of which reliable
@@ -69,16 +61,6 @@ func (c *Cluster) advance(now units.Duration) {
 	c.lastTime = now
 }
 
-// Acquire takes one free processor, reporting false when none is free.
-// On a mixed fleet the reliable sub-pool fills first; sub-pool-aware
-// schedulers should use AcquireReliable/AcquireSpot directly.
-func (c *Cluster) Acquire(now units.Duration) bool {
-	if c.AcquireReliable(now) {
-		return true
-	}
-	return c.AcquireSpot(now)
-}
-
 // AcquireReliable takes one free processor from the reliable on-demand
 // sub-pool, reporting false when it is full (always, on a uniform pool).
 func (c *Cluster) AcquireReliable(now units.Duration) bool {
@@ -88,7 +70,6 @@ func (c *Cluster) AcquireReliable(now units.Duration) bool {
 	c.advance(now)
 	c.busy++
 	c.busyRel++
-	c.noteAcquire()
 	return true
 }
 
@@ -100,25 +81,7 @@ func (c *Cluster) AcquireSpot(now units.Duration) bool {
 	}
 	c.advance(now)
 	c.busy++
-	c.noteAcquire()
 	return true
-}
-
-func (c *Cluster) noteAcquire() {
-	c.acquires++
-	if c.busy > c.peakBusy {
-		c.peakBusy = c.busy
-	}
-}
-
-// Release returns one processor to the pool: a spot slot while any is
-// busy, else a reliable one.  Sub-pool-aware callers should use
-// ReleaseReliable/ReleaseSpot, which check the right sub-pool.
-func (c *Cluster) Release(now units.Duration) error {
-	if c.busy > c.busyRel {
-		return c.ReleaseSpot(now)
-	}
-	return c.ReleaseReliable(now)
 }
 
 // ReleaseReliable returns one processor to the reliable sub-pool.
@@ -195,12 +158,6 @@ func (c *Cluster) SpotTotal() int { return c.total - c.reliable }
 // SpotFree returns the idle processors of the spot sub-pool.
 func (c *Cluster) SpotFree() int { return c.SpotTotal() - (c.busy - c.busyRel) }
 
-// PeakBusy returns the maximum concurrently busy processors observed.
-func (c *Cluster) PeakBusy() int { return c.peakBusy }
-
-// Acquires returns how many successful Acquire calls were made.
-func (c *Cluster) Acquires() int { return c.acquires }
-
 // BusyProcSeconds returns the integral of busy processors over time up
 // to now: the CPU-seconds actually consumed.
 func (c *Cluster) BusyProcSeconds(now units.Duration) float64 {
@@ -231,16 +188,4 @@ func (c *Cluster) CapacityProcSeconds(now units.Duration) float64 {
 func (c *Cluster) ReliableCapacityProcSeconds(now units.Duration) float64 {
 	c.advance(now)
 	return c.reliableCapProcSeconds
-}
-
-// Utilization returns BusyProcSeconds divided by CapacityProcSeconds
-// over the window [0, now]: consumption against the capacity that was
-// actually available, not the originally provisioned pool.  0 when no
-// capacity-time has accumulated.
-func (c *Cluster) Utilization(now units.Duration) float64 {
-	c.advance(now)
-	if c.capacityProcSeconds <= 0 {
-		return 0
-	}
-	return c.busyProcSeconds / c.capacityProcSeconds
 }

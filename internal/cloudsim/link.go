@@ -34,10 +34,8 @@ type Link struct {
 	bw     units.Bandwidth
 	freeAt units.Duration
 
-	bytesIn   units.Bytes
-	bytesOut  units.Bytes
-	transfers int
-	busyTime  units.Duration
+	bytesIn  units.Bytes
+	bytesOut units.Bytes
 }
 
 // NewLink returns a link with the given bandwidth.
@@ -47,9 +45,6 @@ func NewLink(bw units.Bandwidth) (*Link, error) {
 	}
 	return &Link{bw: bw}, nil
 }
-
-// Bandwidth returns the link's rate.
-func (l *Link) Bandwidth() units.Bandwidth { return l.bw }
 
 // Reserve books a transfer of size bytes in the given direction, at or
 // after now, and returns its start and completion times.  Accounting
@@ -65,8 +60,6 @@ func (l *Link) Reserve(now units.Duration, size units.Bytes, dir Direction) (sta
 	}
 	end = start + l.bw.TransferTime(size)
 	l.freeAt = end
-	l.busyTime += end - start
-	l.transfers++
 	switch dir {
 	case In:
 		l.bytesIn += size
@@ -89,7 +82,6 @@ func (l *Link) Record(now units.Duration, size units.Bytes, dir Direction) (star
 		return 0, 0, fmt.Errorf("cloudsim: negative transfer size %d", size)
 	}
 	end = now + l.bw.TransferTime(size)
-	l.transfers++
 	switch dir {
 	case In:
 		l.bytesIn += size
@@ -109,9 +101,3 @@ func (l *Link) BytesIn() units.Bytes { return l.bytesIn }
 
 // BytesOut returns total bytes moved out of the cloud.
 func (l *Link) BytesOut() units.Bytes { return l.bytesOut }
-
-// Transfers returns the number of transfers reserved.
-func (l *Link) Transfers() int { return l.transfers }
-
-// BusyTime returns the cumulative time the link spent transferring.
-func (l *Link) BusyTime() units.Duration { return l.busyTime }

@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/cost"
 	"repro/internal/dag"
@@ -128,18 +129,21 @@ type SpotPlan struct {
 // Enabled reports whether the plan describes any spot behaviour.
 func (s SpotPlan) Enabled() bool { return s != (SpotPlan{}) }
 
-// Validate rejects inconsistent spot plans.
+// Validate rejects inconsistent spot plans.  Every check fails on NaN,
+// which would otherwise make the revocation sampler's clock NaN (so it
+// never reaches its horizon) or the bill NaN.  The rate may be +Inf;
+// the warning, downtime and discount must be finite.
 func (s SpotPlan) Validate() error {
 	switch {
-	case s.RatePerHour < 0:
-		return fmt.Errorf("core: negative spot reclaim rate %v/hour", s.RatePerHour)
-	case s.Warning < 0:
-		return fmt.Errorf("core: negative spot warning %v", s.Warning)
-	case s.Downtime < 0:
-		return fmt.Errorf("core: negative spot downtime %v", s.Downtime)
+	case !(s.RatePerHour >= 0):
+		return fmt.Errorf("core: spot reclaim rate %v/hour is negative or NaN", s.RatePerHour)
+	case !(s.Warning >= 0) || math.IsInf(float64(s.Warning), 1):
+		return fmt.Errorf("core: spot warning %v is negative or not finite", s.Warning)
+	case !(s.Downtime >= 0) || math.IsInf(float64(s.Downtime), 1):
+		return fmt.Errorf("core: spot downtime %v is negative or not finite", s.Downtime)
 	case s.RatePerHour > 0 && s.Downtime == 0:
 		return fmt.Errorf("core: spot reclaims need a positive downtime")
-	case s.Discount < 0 || s.Discount >= 1:
+	case !(s.Discount >= 0 && s.Discount < 1):
 		return fmt.Errorf("core: spot discount %v outside [0,1)", s.Discount)
 	case s.OnDemand < 0:
 		return fmt.Errorf("core: negative on-demand sub-pool %d", s.OnDemand)

@@ -3,31 +3,55 @@ package core
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/montage"
+	"repro/internal/units"
 )
 
 func TestSpotPlanValidation(t *testing.T) {
-	cases := map[string]SpotPlan{
-		"negative rate":      {RatePerHour: -1, Downtime: 600},
-		"negative warning":   {RatePerHour: 1, Warning: -1, Downtime: 600},
-		"negative downtime":  {RatePerHour: 1, Downtime: -600},
-		"zero downtime":      {RatePerHour: 1},
-		"discount over 1":    {RatePerHour: 1, Downtime: 600, Discount: 1},
-		"negative on-demand": {RatePerHour: 1, Downtime: 600, OnDemand: -1},
+	nan, inf := math.NaN(), math.Inf(1)
+	// Each invalid plan must be rejected with an error naming its field.
+	cases := map[string]struct {
+		sp    SpotPlan
+		field string
+	}{
+		"negative rate":      {SpotPlan{RatePerHour: -1, Downtime: 600}, "rate"},
+		"negative warning":   {SpotPlan{RatePerHour: 1, Warning: -1, Downtime: 600}, "warning"},
+		"negative downtime":  {SpotPlan{RatePerHour: 1, Downtime: -600}, "downtime"},
+		"zero downtime":      {SpotPlan{RatePerHour: 1}, "downtime"},
+		"discount over 1":    {SpotPlan{RatePerHour: 1, Downtime: 600, Discount: 1}, "discount"},
+		"negative on-demand": {SpotPlan{RatePerHour: 1, Downtime: 600, OnDemand: -1}, "on-demand"},
+		"NaN rate":           {SpotPlan{RatePerHour: nan, Downtime: 600}, "rate"},
+		"NaN warning":        {SpotPlan{RatePerHour: 1, Warning: units.Duration(nan), Downtime: 600}, "warning"},
+		"infinite warning":   {SpotPlan{RatePerHour: 1, Warning: units.Duration(inf), Downtime: 600}, "warning"},
+		"NaN downtime":       {SpotPlan{RatePerHour: 1, Downtime: units.Duration(nan)}, "downtime"},
+		"infinite downtime":  {SpotPlan{RatePerHour: 1, Downtime: units.Duration(inf)}, "downtime"},
+		"NaN discount":       {SpotPlan{RatePerHour: 1, Downtime: 600, Discount: nan}, "discount"},
 	}
-	for name, sp := range cases {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
 			plan := DefaultPlan()
-			plan.Spot = sp
-			if err := plan.Validate(); err == nil {
-				t.Error("invalid spot plan accepted")
+			plan.Spot = c.sp
+			err := plan.Validate()
+			if err == nil {
+				t.Fatal("invalid spot plan accepted")
+			}
+			if !strings.Contains(err.Error(), c.field) {
+				t.Errorf("error %q does not name the %s", err, c.field)
 			}
 		})
 	}
+	// An infinite rate is valid: each instance is reclaimed again as
+	// soon as its downtime ends.
 	plan := DefaultPlan()
+	plan.Spot = SpotPlan{RatePerHour: inf, Warning: 120, Downtime: 600}
+	if err := plan.Validate(); err != nil {
+		t.Errorf("infinite reclaim rate rejected: %v", err)
+	}
+	plan = DefaultPlan()
 	plan.Spot = SpotPlan{RatePerHour: 1, Warning: 120, Downtime: 600}
 	plan.Preemptions = []exec.Preemption{{Reclaim: 10, Processors: 1, Restore: 20}}
 	if err := plan.Validate(); err == nil {

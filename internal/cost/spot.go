@@ -1,8 +1,6 @@
 package cost
 
 import (
-	"fmt"
-
 	"repro/internal/exec"
 	"repro/internal/units"
 )
@@ -22,28 +20,11 @@ type Spot struct {
 	RevocationsPerHour float64
 }
 
-// Validate rejects degenerate spot models.
-func (s Spot) Validate() error {
-	if s.Discount < 0 || s.Discount >= 1 {
-		return fmt.Errorf("cost: spot discount %v outside [0,1)", s.Discount)
-	}
-	if s.RevocationsPerHour < 0 {
-		return fmt.Errorf("cost: negative spot revocation rate %v/hour", s.RevocationsPerHour)
-	}
-	return nil
-}
-
 // Apply returns the fee schedule with the CPU rate discounted to the
 // spot price; every other rate is unchanged.
 func (s Spot) Apply(p Pricing) Pricing {
 	p.CPUPerHour *= units.Money(1 - s.Discount)
 	return p
-}
-
-// ExpectedRevocations returns how many capacity reclaims a run of the
-// given length should expect under this model.
-func (s Spot) ExpectedRevocations(d units.Duration) float64 {
-	return s.RevocationsPerHour * d.Hours()
 }
 
 // OnDemandMixed prices a mixed-fleet run under on-demand CPU charging:

@@ -10,9 +10,6 @@ import (
 
 func TestSpotApplyDiscountsOnlyCPU(t *testing.T) {
 	s := Spot{Discount: 0.65, RevocationsPerHour: 0.5}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	p := s.Apply(Amazon2008())
 	if math.Abs(float64(p.CPUPerHour)-0.035) > 1e-12 {
 		t.Errorf("spot CPU rate = %v, want 0.035", p.CPUPerHour)
@@ -26,26 +23,6 @@ func TestSpotApplyDiscountsOnlyCPU(t *testing.T) {
 	// Zero discount is the on-demand schedule.
 	if got := (Spot{}).Apply(base); got != base {
 		t.Errorf("zero spot changed the schedule: %+v", got)
-	}
-}
-
-func TestSpotValidate(t *testing.T) {
-	for name, s := range map[string]Spot{
-		"negative discount": {Discount: -0.1},
-		"full discount":     {Discount: 1},
-		"negative rate":     {RevocationsPerHour: -1},
-	} {
-		if err := s.Validate(); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-func TestSpotExpectedRevocations(t *testing.T) {
-	s := Spot{Discount: 0.5, RevocationsPerHour: 0.25}
-	// A 8-hour run expects 2 reclaims.
-	if got := s.ExpectedRevocations(8 * 3600); math.Abs(got-2) > 1e-12 {
-		t.Errorf("ExpectedRevocations = %v, want 2", got)
 	}
 }
 

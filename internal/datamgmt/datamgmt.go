@@ -137,9 +137,9 @@ func (a *Analyzer) Remaining(id dag.FileID) int { return int(a.remaining[id]) }
 // topological order gives the same schedule up to ties).  Output files
 // and files with no consumers map to no task and are excluded.
 //
-// This mirrors the workflow-level analysis of Pegasus' cleanup pass and
-// is used by tests and the ablation benchmarks; the executor uses the
-// dynamic Analyzer instead.
+// This mirrors the workflow-level analysis of Pegasus' cleanup pass.
+// The executor uses the dynamic Analyzer instead; this static schedule
+// is the reference the Analyzer's tests check it against.
 func DeletionSchedule(wf *dag.Workflow, completionOrder []dag.TaskID) (map[string]dag.TaskID, error) {
 	if !wf.Finalized() {
 		return nil, fmt.Errorf("datamgmt: workflow %q not finalized", wf.Name)

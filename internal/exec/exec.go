@@ -83,8 +83,8 @@ func RunContext(ctx context.Context, wf *dag.Workflow, cfg Config) (Metrics, err
 	if err := cfg.Recovery.validate(); err != nil {
 		return Metrics{}, err
 	}
-	if cfg.SpotRatePerHour < 0 {
-		return Metrics{}, fmt.Errorf("exec: negative spot rate %v/hour", cfg.SpotRatePerHour)
+	if !(cfg.SpotRatePerHour >= 0) {
+		return Metrics{}, fmt.Errorf("exec: spot rate %v/hour is negative or NaN", cfg.SpotRatePerHour)
 	}
 	resolved, err := cfg.Policies.Resolve()
 	if err != nil {

@@ -166,7 +166,7 @@ func TestModeInvariantsOnMontage(t *testing.T) {
 	// Storage: regular is the most expensive mode (Fig. 7 top), and both
 	// cleanup and remote I/O beat it.  (The paper's remote < cleanup
 	// ordering does not reproduce under our synthetic profile at full
-	// parallelism; see EXPERIMENTS.md.)
+	// parallelism.)
 	if !(cln.StorageByteSeconds < reg.StorageByteSeconds) {
 		t.Errorf("storage: cleanup %v not < regular %v", cln.StorageByteSeconds, reg.StorageByteSeconds)
 	}
@@ -254,6 +254,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(w, Config{Mode: datamgmt.Regular, Processors: -1}); err == nil {
 		t.Error("negative processors accepted")
+	}
+	if _, err := Run(w, Config{Mode: datamgmt.Regular, SpotRatePerHour: math.NaN()}); err == nil {
+		t.Error("NaN spot rate accepted")
 	}
 	unfinished := dag.New("x")
 	if _, err := Run(unfinished, Config{Mode: datamgmt.Regular}); err == nil {

@@ -397,6 +397,24 @@ func TestSpotScheduleInstances(t *testing.T) {
 	if _, err := SpotScheduleInstances(3600, 0, 1, 0, 60, 1); err == nil {
 		t.Error("zero procs accepted")
 	}
+	// NaN fails every check, and only the rate may be infinite.
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, c := range map[string]struct {
+		horizon, warning, down units.Duration
+		rate                   float64
+	}{
+		"NaN horizon":       {units.Duration(nan), 0, 60, 1},
+		"infinite horizon":  {units.Duration(inf), 0, 60, 1},
+		"NaN rate":          {3600, 0, 60, nan},
+		"NaN warning":       {3600, units.Duration(nan), 60, 1},
+		"infinite warning":  {3600, units.Duration(inf), 60, 1},
+		"NaN downtime":      {3600, 0, units.Duration(nan), 1},
+		"infinite downtime": {3600, 0, units.Duration(inf), 1},
+	} {
+		if _, err := SpotScheduleInstances(c.horizon, 8, c.rate, c.warning, c.down, 1); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 	// Downtime spaces an instance's reclaims, so no rate -- however
 	// extreme -- yields more than horizon/down+1 reclaims per instance.
 	for _, rate := range []float64{1e12, math.Inf(1)} {

@@ -370,19 +370,20 @@ func (r *runner) preemptTask(id dag.TaskID, now units.Duration, warning units.Du
 }
 
 // validateSpotArgs checks the shared arguments of the spot-schedule
-// samplers.
+// samplers.  Every check fails on NaN, and only the rate may be
+// infinite: a NaN or infinite clock would never reach the horizon.
 func validateSpotArgs(horizon units.Duration, procs int, ratePerHour float64, warning, down units.Duration) error {
 	switch {
-	case horizon <= 0:
-		return fmt.Errorf("exec: non-positive spot horizon %v", horizon)
+	case !(horizon > 0) || math.IsInf(float64(horizon), 1):
+		return fmt.Errorf("exec: spot horizon %v is not positive and finite", horizon)
 	case procs < 1:
 		return fmt.Errorf("exec: spot schedule needs at least 1 processor, got %d", procs)
-	case ratePerHour < 0:
-		return fmt.Errorf("exec: negative revocation rate %v/hour", ratePerHour)
-	case warning < 0:
-		return fmt.Errorf("exec: negative spot warning %v", warning)
-	case down <= 0:
-		return fmt.Errorf("exec: non-positive spot downtime %v", down)
+	case !(ratePerHour >= 0):
+		return fmt.Errorf("exec: revocation rate %v/hour is negative or NaN", ratePerHour)
+	case !(warning >= 0) || math.IsInf(float64(warning), 1):
+		return fmt.Errorf("exec: spot warning %v is negative or not finite", warning)
+	case !(down > 0) || math.IsInf(float64(down), 1):
+		return fmt.Errorf("exec: spot downtime %v is not positive and finite", down)
 	}
 	return nil
 }

@@ -13,10 +13,10 @@ import (
 	"repro/internal/units"
 )
 
-// The ablation experiments probe the design choices DESIGN.md calls out:
-// the paper's per-second billing normalization, and the provisioned vs.
-// on-demand charging contrast the paper highlights with the 4-degree
-// $13.92-vs-$8.89 example.
+// The ablation experiments (the ablation-* entries of Registry) probe
+// the paper's design choices: its per-second billing normalization, and
+// the provisioned vs. on-demand charging contrast it highlights with the
+// 4-degree $13.92-vs-$8.89 example.
 
 // GranularityRow compares per-second and per-hour CPU billing for one
 // pool size.

@@ -1,9 +1,11 @@
 // Package experiments is the reproduction harness: one constructor per
 // table and figure in the paper's evaluation (§6), each returning typed
-// rows plus renderable tables.  The bench harness (bench_test.go) and
-// the montagesim CLI are thin wrappers over this package.
+// rows plus renderable tables.  Registry names every experiment, these
+// and the ablations and scenario studies beyond the paper; the
+// montagesim CLI, the reprosrv daemon and the root benchmarks run them
+// all through it.
 //
-// Index (see DESIGN.md for the full mapping):
+// The paper's experiments:
 //
 //	CCRTable      -- the §6.3 CCR table
 //	Fig4/5/6      -- Question 1 provisioning sweeps (1/2/4-degree)

@@ -7,8 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/datamgmt"
-	"repro/internal/stats"
 )
+
+// relErr is the deviation of a reproduced value from the paper's
+// published one, relative to the (nonzero) published value.
+func relErr(got, want float64) float64 { return math.Abs(got-want) / math.Abs(want) }
 
 func TestCCRTableMatchesPaper(t *testing.T) {
 	res, err := CCRTable(context.Background())
@@ -19,7 +22,7 @@ func TestCCRTableMatchesPaper(t *testing.T) {
 		t.Fatalf("got %d rows, want 3", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		if stats.RelErr(row.CCR, row.PaperCCR) > 0.02 {
+		if relErr(row.CCR, row.PaperCCR) > 0.02 {
 			t.Errorf("%s: CCR %.4f vs paper %.4f", row.Workflow, row.CCR, row.PaperCCR)
 		}
 	}
@@ -251,7 +254,7 @@ func TestQ2bAnchors(t *testing.T) {
 	// Ours: savings = measured transfer-in cost of the 2-degree request
 	// (~$0.049 for ~490 MB of inputs), so the break-even lands near
 	// 37,000 requests/month vs the paper's 18,000 (same order; the
-	// paper's input volume is not published -- see EXPERIMENTS.md).
+	// paper's input volume is not published).
 	if be.RequestsPerMonth < 10000 || be.RequestsPerMonth > 80000 {
 		t.Errorf("break-even = %.0f requests/month, want tens of thousands", be.RequestsPerMonth)
 	}
@@ -297,7 +300,7 @@ func TestQ3StoreAnchors(t *testing.T) {
 	// Paper horizons: 21.52 / 24.25 / 25.12 months; ours match because
 	// mosaic sizes and CPU costs are calibrated.
 	for _, row := range res.Rows {
-		if stats.RelErr(row.Horizon.Months, row.Paper) > 0.03 {
+		if relErr(row.Horizon.Months, row.Paper) > 0.03 {
 			t.Errorf("%s horizon = %.2f months, want %.2f", row.Workflow, row.Horizon.Months, row.Paper)
 		}
 		if row.Horizon.Months < 20 || row.Horizon.Months > 27 {

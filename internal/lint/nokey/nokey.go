@@ -31,7 +31,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 )
 
@@ -77,16 +76,6 @@ func (s *Set) Struct(name string) *Struct {
 		return nil
 	}
 	return s.structs[name]
-}
-
-// StructNames lists the parsed struct type names, sorted.
-func (s *Set) StructNames() []string {
-	names := make([]string, 0, len(s.structs))
-	for n := range s.structs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Excluded reports whether structName.fieldName carries a //repro:nokey

@@ -206,43 +206,6 @@ func Simulate(classes []Class, reqs []Request, cfg Config) ([]Outcome, Stats, er
 	return outcomes, stats, nil
 }
 
-// CapacityPoint is one local-cluster size evaluated against a workload.
-type CapacityPoint struct {
-	LocalProcessors int
-	Stats           Stats
-}
-
-// CapacitySweep evaluates the same request stream against local clusters
-// of several sizes (re-measuring each class's local turnaround), with
-// cloud bursting enabled.  It answers the sizing question behind the
-// paper's Question 1: how much local capacity is worth owning when the
-// overflow can always go to the cloud.
-func CapacitySweep(specs []montage.Spec, localSizes []int, cloudPlan core.Plan, reqs []Request, cfg Config) ([]CapacityPoint, error) {
-	if len(localSizes) == 0 {
-		return nil, fmt.Errorf("service: no cluster sizes to sweep")
-	}
-	var points []CapacityPoint
-	for _, size := range localSizes {
-		if size < 1 {
-			return nil, fmt.Errorf("service: invalid cluster size %d", size)
-		}
-		classes := make([]Class, 0, len(specs))
-		for _, spec := range specs {
-			c, err := MeasureClass(spec, size, cloudPlan)
-			if err != nil {
-				return nil, err
-			}
-			classes = append(classes, c)
-		}
-		_, stats, err := Simulate(classes, reqs, cfg)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, CapacityPoint{LocalProcessors: size, Stats: stats})
-	}
-	return points, nil
-}
-
 // Arrivals generates a deterministic request stream: exponential
 // inter-arrival gaps with the given mean, plus an overload burst (a
 // window during which the arrival rate multiplies), the "sporadic

@@ -220,39 +220,6 @@ func TestMeasureClassIntegration(t *testing.T) {
 	}
 }
 
-func TestCapacitySweep(t *testing.T) {
-	cloud := core.DefaultPlan()
-	cloud.Billing = core.Provisioned
-	cloud.Processors = 32
-	arrivals := Arrivals{Seed: 5, N: 60, MeanGap: 1800, Classes: 1}
-	reqs, err := arrivals.Generate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := []montage.Spec{montage.OneDegree()}
-	cfg := Config{SLA: 7200, CloudEnabled: true}
-	points, err := CapacitySweep(specs, []int{2, 8, 32}, cloud, reqs, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("got %d points, want 3", len(points))
-	}
-	// More local capacity never increases cloud spend.
-	for i := 1; i < len(points); i++ {
-		if points[i].Stats.CloudSpend > points[i-1].Stats.CloudSpend {
-			t.Errorf("cloud spend rose from %d to %d procs",
-				points[i-1].LocalProcessors, points[i].LocalProcessors)
-		}
-	}
-	if _, err := CapacitySweep(specs, nil, cloud, reqs, cfg); err == nil {
-		t.Error("empty size list accepted")
-	}
-	if _, err := CapacitySweep(specs, []int{0}, cloud, reqs, cfg); err == nil {
-		t.Error("zero cluster size accepted")
-	}
-}
-
 // Property: enabling the cloud never increases any request's turnaround
 // and never increases SLA violations.
 func TestPropCloudNeverHurtsLatency(t *testing.T) {

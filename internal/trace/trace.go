@@ -59,11 +59,6 @@ func (s *Sampler) Sample(p Profile) float64 {
 	return v
 }
 
-// SampleDuration draws a runtime.
-func (s *Sampler) SampleDuration(p Profile) units.Duration {
-	return units.Duration(s.Sample(p))
-}
-
 // SampleBytes draws a file size, rounded to whole bytes.
 func (s *Sampler) SampleBytes(p Profile) units.Bytes {
 	return units.BytesOf(s.Sample(p))
