@@ -49,7 +49,7 @@ race:
 # bench runs the benchmark suites with repeats (BENCH_COUNT, default 3)
 # and writes one baseline per suite at the repo root: BENCH_exec.json
 # (executor + event loop), BENCH_sweep.json (sweep-engine kernel),
-# BENCH_store.json (disk-store put/get/scan) and BENCH_montage.json
+# BENCH_store.json (disk-store get and envelope encode) and BENCH_montage.json
 # (workflow generation).
 bench:
 	sh scripts/bench.sh

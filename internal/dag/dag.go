@@ -203,26 +203,44 @@ func (w *Workflow) Finalize() error {
 		return errors.New("dag: workflow has no tasks")
 	}
 	// Derive parent/child edges from file producer/consumer relations.
+	// The parent lists are windows of one array, and the child lists of
+	// another, so the edges cost two allocations whatever the fan-in.
+	nIn := 0
 	for _, t := range w.tasks {
-		parentSet := make(map[TaskID]bool)
+		nIn += len(t.Inputs)
+	}
+	parents := make([]TaskID, 0, nIn)
+	nChildren := make([]int, len(w.tasks))
+	for _, t := range w.tasks {
+		start := len(parents)
 		for _, in := range t.Inputs {
 			if p := w.files[in].Producer; p != NoTask && p != t.ID {
-				parentSet[p] = true
+				parents = append(parents, p)
 			}
 		}
-		t.parents = t.parents[:0]
-		for p := range parentSet {
-			t.parents = append(t.parents, p)
+		slices.Sort(parents[start:])
+		parents = parents[:start+len(slices.Compact(parents[start:]))]
+		t.parents = nil
+		if end := len(parents); end > start {
+			t.parents = parents[start:end:end]
 		}
-		sort.Slice(t.parents, func(i, j int) bool { return t.parents[i] < t.parents[j] })
+		for _, p := range t.parents {
+			nChildren[p]++
+		}
 	}
+	children := make([]TaskID, len(parents))
+	for _, t := range w.tasks {
+		n := nChildren[t.ID]
+		t.children = nil
+		if n > 0 {
+			t.children, children = children[:0:n], children[n:]
+		}
+	}
+	// Appending in task-ID order leaves every child list sorted.
 	for _, t := range w.tasks {
 		for _, p := range t.parents {
 			w.tasks[p].children = append(w.tasks[p].children, t.ID)
 		}
-	}
-	for _, t := range w.tasks {
-		sort.Slice(t.children, func(i, j int) bool { return t.children[i] < t.children[j] })
 	}
 
 	// Kahn's algorithm for a deterministic topological order (smallest ID

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -396,6 +397,17 @@ func TestSpotScheduleInstances(t *testing.T) {
 	}
 	if _, err := SpotScheduleInstances(3600, 0, 1, 0, 60, 1); err == nil {
 		t.Error("zero procs accepted")
+	}
+	// A near-zero downtime lets an infinite-rate instance be reclaimed
+	// without end: refused before anything is sized, as are too many
+	// instances at an ordinary rate.
+	for _, c := range []struct {
+		procs      int
+		rate, down float64
+	}{{16, 1e12, 1e-9}, {1 << 20, 1, 600}} {
+		if _, err := SpotScheduleInstances(177*3600, c.procs, c.rate, 120, units.Duration(c.down), 1); !errors.Is(err, ErrSpotScheduleTooLarge) {
+			t.Errorf("%d instances at %g/h, %g s down: err = %v, want ErrSpotScheduleTooLarge", c.procs, c.rate, c.down, err)
+		}
 	}
 	// NaN fails every check, and only the rate may be infinite.
 	nan, inf := math.NaN(), math.Inf(1)

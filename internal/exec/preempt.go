@@ -13,6 +13,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -388,6 +389,18 @@ func validateSpotArgs(horizon units.Duration, procs int, ratePerHour float64, wa
 	return nil
 }
 
+// maxSpotReclaims bounds the worst-case size of a per-instance spot
+// schedule, which SpotScheduleInstances allocates (twice, for the
+// merge) before it draws: 2^20 reclaims of 32 bytes is 32 MiB.  Every
+// registry experiment and benchmark scenario stays below about 22,000,
+// so the bound only refuses schedules no run could use.
+const maxSpotReclaims = 1 << 20
+
+// ErrSpotScheduleTooLarge reports a spot plan whose per-instance
+// schedule could exceed maxSpotReclaims: too many spot instances, or a
+// reclaim rate or downtime that lets each one be reclaimed too often.
+var ErrSpotScheduleTooLarge = errors.New("exec: spot schedule too large")
+
 // SpotScheduleInstances samples a deterministic per-instance spot
 // revocation schedule over a horizon: each of the procs spot instances
 // is reclaimed independently as its own Poisson process at ratePerHour,
@@ -407,9 +420,14 @@ func SpotScheduleInstances(horizon units.Duration, procs int, ratePerHour float6
 	}
 	// Capacity for the whole schedule: an instance expects about
 	// rate*hours reclaims, and downtime spaces them, so it never draws
-	// more than horizon/down+1 whatever the rate.
-	perInstance := int(math.Min(ratePerHour*horizon.Hours(), float64(horizon/down))) + 1
-	out := make([]Preemption, 0, procs*perInstance)
+	// more than horizon/down+1 whatever the rate.  The product is taken
+	// in floating point, where no input can overflow it.
+	perInstance := math.Min(ratePerHour*horizon.Hours(), float64(horizon/down)) + 1
+	if worst := float64(procs) * perInstance; worst > maxSpotReclaims {
+		return nil, fmt.Errorf("%w: %d spot instances could each be reclaimed up to %.3g times over the %.1f h horizon (rate %g/h, downtime %g s), %.3g in all against a bound of %d; lower the spot processor count or spot.rate_per_hour, or raise spot.downtime_seconds",
+			ErrSpotScheduleTooLarge, procs, perInstance, horizon.Hours(), ratePerHour, float64(down), worst, maxSpotReclaims)
+	}
+	out := make([]Preemption, 0, procs*int(perInstance))
 	runs := make([]int, procs+1) // instance i's reclaims are out[runs[i]:runs[i+1]]
 	// One generator re-seeded per instance: Seed resets the whole source
 	// state, so each instance draws exactly the stream a fresh source

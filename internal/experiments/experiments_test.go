@@ -313,7 +313,7 @@ func TestQ3StoreAnchors(t *testing.T) {
 }
 
 func TestOverloadScenario(t *testing.T) {
-	res, err := Overload(context.Background())
+	res, err := OverloadSeeded(context.Background(), DefaultOverloadSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

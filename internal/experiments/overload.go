@@ -23,23 +23,19 @@ type OverloadResult struct {
 	With     service.Stats
 }
 
-// DefaultOverloadSeed is the published arrival-stream seed; Overload
-// uses it, and OverloadSeeded reproduces any other stream on demand.
+// DefaultOverloadSeed is the published arrival-stream seed; any other
+// seed reproduces another stream on demand.
 const DefaultOverloadSeed int64 = 42
 
-// Overload simulates a month of 1- and 2-degree mosaic requests against
-// an 8-processor local cluster with a 4-hour turnaround target and a
-// 3-day, 8x request burst, comparing local-only operation against
+// OverloadSeeded simulates a month of 1- and 2-degree mosaic requests
+// against an 8-processor local cluster with a 4-hour turnaround target
+// and a 3-day, 8x request burst, comparing local-only operation against
 // bursting to a 32-processor provisioned cloud pool.  The two class
-// measurements and the two month-long simulations each run concurrently.
-func Overload(ctx context.Context) (OverloadResult, error) {
-	return OverloadSeeded(ctx, DefaultOverloadSeed)
-}
-
-// OverloadSeeded is Overload with an explicit arrival-stream seed: the
-// only stochastic input of the scenario, threaded through
-// service.Arrivals so a server (or anyone else) can re-run the exact
-// same request stream, or explore fresh ones, reproducibly.
+// measurements and the two month-long simulations each run
+// concurrently.  The seed is the arrival stream's, the only stochastic
+// input of the scenario, threaded through service.Arrivals so a server
+// (or anyone else) can re-run the exact same request stream, or explore
+// fresh ones, reproducibly.
 func OverloadSeeded(ctx context.Context, seed int64) (OverloadResult, error) {
 	cloudPlan := core.DefaultPlan()
 	cloudPlan.Billing = core.Provisioned

@@ -23,6 +23,7 @@ package montage
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/dag"
 	"repro/internal/trace"
@@ -193,23 +194,35 @@ type builder struct {
 	s       Spec
 	sampler *trace.Sampler
 
-	taskRuntimes []float64 // parallel to task IDs
-	taskNames    []string
-	fixedFiles   map[string]bool // external inputs + staged-out outputs
+	taskRuntimes []float64   // parallel to task IDs
+	files        []builtFile // in creation order
 }
 
+// builtFile is one workflow file and whether calibrateCCR must leave
+// its size alone: the external inputs and the staged-out outputs, whose
+// sizes the paper anchors.
+type builtFile struct {
+	f     *dag.File
+	fixed bool
+}
+
+// addFile registers a file with a size sampled from p.
 func (b *builder) addFile(name string, p trace.Profile, output bool) error {
-	_, err := b.w.AddFile(name, b.sampler.SampleBytes(p), output)
-	return err
+	return b.add(name, b.sampler.SampleBytes(p), output, false)
 }
 
+// addFixedFile registers a file whose size calibrateCCR keeps.
 func (b *builder) addFixedFile(name string, size units.Bytes, output bool) error {
-	if b.fixedFiles == nil {
-		b.fixedFiles = make(map[string]bool)
+	return b.add(name, size, output, true)
+}
+
+func (b *builder) add(name string, size units.Bytes, output, fixed bool) error {
+	f, err := b.w.AddFile(name, size, output)
+	if err != nil {
+		return err
 	}
-	b.fixedFiles[name] = true
-	_, err := b.w.AddFile(name, size, output)
-	return err
+	b.files = append(b.files, builtFile{f: f, fixed: fixed})
+	return nil
 }
 
 func (b *builder) addTask(name, typ string, inputs, outputs []string) error {
@@ -220,55 +233,68 @@ func (b *builder) addTask(name, typ string, inputs, outputs []string) error {
 		return err
 	}
 	b.taskRuntimes = append(b.taskRuntimes, rt)
-	b.taskNames = append(b.taskNames, name)
 	return nil
+}
+
+// paddedNames returns the n names prefix + i + suffix for i in [0, n),
+// i zero-padded to width digits as fmt's "%0<width>d" pads it: an index
+// wider than width prints in full.  Each name is formatted once, with
+// strconv appends, and the n names share one string.
+func paddedNames(prefix string, n, width int, suffix string) []string {
+	buf := make([]byte, 0, n*(len(prefix)+width+len(suffix)))
+	ends := make([]int, n)
+	var num [20]byte
+	for i := range ends {
+		d := strconv.AppendInt(num[:0], int64(i), 10)
+		buf = append(buf, prefix...)
+		for k := len(d); k < width; k++ {
+			buf = append(buf, '0')
+		}
+		buf = append(buf, d...)
+		buf = append(buf, suffix...)
+		ends[i] = len(buf)
+	}
+	all := string(buf)
+	names := make([]string, n)
+	start := 0
+	for i, end := range ends {
+		names[i], start = all[start:end], end
+	}
+	return names
 }
 
 func (b *builder) build() error {
 	s := b.s
-	if b.fixedFiles == nil {
-		b.fixedFiles = make(map[string]bool)
-	}
 	// Shared template header, used by every mProject and mDiffFit.
 	if err := b.addFile("region.hdr", szTemplate, false); err != nil {
 		return err
 	}
-	// External input images and their reprojections.
-	for i := 0; i < s.Images; i++ {
-		in := fmt.Sprintf("2mass-%04d.fits", i)
-		if err := b.addFile(in, szInput, false); err != nil {
+	// External input images, which keep their nominal size, and their
+	// reprojections.
+	raw := paddedNames("2mass-", s.Images, 4, ".fits")
+	proj := paddedNames("proj-", s.Images, 4, ".fits")
+	for i := range raw {
+		if err := b.addFixedFile(raw[i], b.sampler.SampleBytes(szInput), false); err != nil {
 			return err
 		}
-		b.fixedFiles[in] = true // inputs keep their nominal size
-		if err := b.addFile(fmt.Sprintf("proj-%04d.fits", i), szProjected, false); err != nil {
+		if err := b.addFile(proj[i], szProjected, false); err != nil {
 			return err
 		}
 	}
-	for i := 0; i < s.Images; i++ {
-		if err := b.addTask(
-			fmt.Sprintf("mProject-%04d", i), "mProject",
-			[]string{fmt.Sprintf("2mass-%04d.fits", i), "region.hdr"},
-			[]string{fmt.Sprintf("proj-%04d.fits", i)},
-		); err != nil {
+	for i, name := range paddedNames("mProject-", s.Images, 4, "") {
+		if err := b.addTask(name, "mProject", []string{raw[i], "region.hdr"}, []string{proj[i]}); err != nil {
 			return err
 		}
 	}
 	// Overlap pairs and mDiffFit tasks.
 	pairs := overlapPairs(s.Images, s.Diffs)
-	for d, p := range pairs {
-		fit := fmt.Sprintf("fit-%05d.txt", d)
-		if err := b.addFile(fit, szFit, false); err != nil {
+	fits := paddedNames("fit-", len(pairs), 5, ".txt")
+	for d, name := range paddedNames("mDiffFit-", len(pairs), 5, "") {
+		if err := b.addFile(fits[d], szFit, false); err != nil {
 			return err
 		}
-		if err := b.addTask(
-			fmt.Sprintf("mDiffFit-%05d", d), "mDiffFit",
-			[]string{
-				fmt.Sprintf("proj-%04d.fits", p[0]),
-				fmt.Sprintf("proj-%04d.fits", p[1]),
-				"region.hdr",
-			},
-			[]string{fit},
-		); err != nil {
+		p := pairs[d]
+		if err := b.addTask(name, "mDiffFit", []string{proj[p[0]], proj[p[1]], "region.hdr"}, []string{fits[d]}); err != nil {
 			return err
 		}
 	}
@@ -276,11 +302,7 @@ func (b *builder) build() error {
 	if err := b.addFile("fits.tbl", szSmallTbl, false); err != nil {
 		return err
 	}
-	fitNames := make([]string, len(pairs))
-	for d := range pairs {
-		fitNames[d] = fmt.Sprintf("fit-%05d.txt", d)
-	}
-	if err := b.addTask("mConcatFit", "mConcatFit", fitNames, []string{"fits.tbl"}); err != nil {
+	if err := b.addTask("mConcatFit", "mConcatFit", fits, []string{"fits.tbl"}); err != nil {
 		return err
 	}
 	if err := b.addFile("corrections.tbl", szSmallTbl, false); err != nil {
@@ -290,29 +312,22 @@ func (b *builder) build() error {
 		return err
 	}
 	// Background rectification fan.
-	for i := 0; i < s.Images; i++ {
-		if err := b.addFile(fmt.Sprintf("bg-%04d.fits", i), szProjected, false); err != nil {
+	bg := paddedNames("bg-", s.Images, 4, ".fits")
+	for _, name := range bg {
+		if err := b.addFile(name, szProjected, false); err != nil {
 			return err
 		}
 	}
-	for i := 0; i < s.Images; i++ {
-		if err := b.addTask(
-			fmt.Sprintf("mBackground-%04d", i), "mBackground",
-			[]string{fmt.Sprintf("proj-%04d.fits", i), "corrections.tbl"},
-			[]string{fmt.Sprintf("bg-%04d.fits", i)},
-		); err != nil {
+	for i, name := range paddedNames("mBackground-", s.Images, 4, "") {
+		if err := b.addTask(name, "mBackground", []string{proj[i], "corrections.tbl"}, []string{bg[i]}); err != nil {
 			return err
 		}
 	}
 	// Final serial spine: mAdd -> mShrink -> mJPEG.
-	bgNames := make([]string, s.Images)
-	for i := range bgNames {
-		bgNames[i] = fmt.Sprintf("bg-%04d.fits", i)
-	}
 	if err := b.addFixedFile("mosaic.fits", s.MosaicBytes, true); err != nil {
 		return err
 	}
-	if err := b.addTask("mAdd", "mAdd", bgNames, []string{"mosaic.fits"}); err != nil {
+	if err := b.addTask("mAdd", "mAdd", bg, []string{"mosaic.fits"}); err != nil {
 		return err
 	}
 	if err := b.addFile("mosaic-small.fits",
@@ -349,12 +364,14 @@ func (b *builder) calibrateRuntimes() error {
 func (b *builder) calibrateCCR() error {
 	s := b.s
 	targetTotal := s.TargetCCR * s.Bandwidth.BytesPerSecond() * s.TotalCPU.Seconds()
+	// Sizes are whole bytes, so these float sums are exact (below 2^53)
+	// in any order: creation order gives the same totals as name order.
 	var fixed, scalable float64
-	for _, f := range b.w.Files() {
-		if b.fixedFiles[f.Name] {
-			fixed += float64(f.Size)
+	for _, bf := range b.files {
+		if bf.fixed {
+			fixed += float64(bf.f.Size)
 		} else {
-			scalable += float64(f.Size)
+			scalable += float64(bf.f.Size)
 		}
 	}
 	need := targetTotal - fixed
@@ -366,9 +383,9 @@ func (b *builder) calibrateCCR() error {
 	if err != nil {
 		return fmt.Errorf("montage: CCR calibration: %w", err)
 	}
-	for _, f := range b.w.Files() {
-		if !b.fixedFiles[f.Name] {
-			f.Size = units.BytesOf(float64(f.Size) * factor)
+	for _, bf := range b.files {
+		if !bf.fixed {
+			bf.f.Size = units.BytesOf(float64(bf.f.Size) * factor)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package montage
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -303,6 +304,28 @@ func TestInputBytesReasonable(t *testing.T) {
 		perImage := float64(w.InputBytes()) / float64(s.Images)
 		if perImage < 2*units.MB || perImage > 4*units.MB {
 			t.Errorf("%s: %.1f MB per input image, want ~3 MB", s.Name, perImage/units.MB)
+		}
+	}
+}
+
+// TestPaddedNamesMatchFmt: every generated name is fmt's "%0<width>d"
+// spelling of its index, past the pad width too (index 10000 of a
+// four-digit family, 100000 of a five-digit one).
+func TestPaddedNamesMatchFmt(t *testing.T) {
+	const n = 100_002
+	for _, c := range []struct {
+		prefix string
+		width  int
+		suffix string
+	}{{"proj-", 4, ".fits"}, {"mDiffFit-", 5, ""}, {"fit-", 5, ".txt"}} {
+		names := paddedNames(c.prefix, n, c.width, c.suffix)
+		if len(names) != n {
+			t.Fatalf("%s: %d names, want %d", c.prefix, len(names), n)
+		}
+		for i, got := range names {
+			if want := fmt.Sprintf("%s%0*d%s", c.prefix, c.width, i, c.suffix); got != want {
+				t.Fatalf("%s name %d = %q, want %q", c.prefix, i, got, want)
+			}
 		}
 	}
 }

@@ -2,7 +2,9 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // flightGroup coalesces concurrent identical requests, singleflight
@@ -17,6 +19,11 @@ import (
 type flightGroup struct {
 	mu      sync.Mutex
 	flights map[string]*flight
+	// panics counts the panics recovered in flights; New points it at
+	// the server's counter.  A flight runs on a goroutine of its own,
+	// where an unrecovered panic would exit the whole process; recovered,
+	// it is the flight's error instead.
+	panics *atomic.Uint64
 }
 
 type flight struct {
@@ -44,7 +51,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Co
 		g.flights[key] = f
 		//repro:detached a flight outlives canceled callers by design; every waiter joins via f.done, and the flight itself is the only writer
 		go func() {
-			body, err := fn(fctx)
+			body, err := g.run(fctx, fn)
 			g.mu.Lock()
 			f.body, f.err = body, err
 			// A finished flight leaves the map so the next request starts
@@ -76,5 +83,23 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Co
 		}
 		g.mu.Unlock()
 		return nil, joined, ctx.Err()
+	}
+}
+
+// run calls fn, returning a panic in it as its error.
+func (g *flightGroup) run(ctx context.Context, fn func(ctx context.Context) ([]byte, error)) (body []byte, err error) {
+	defer recoverPanic(&err, g.panics)
+	return fn(ctx)
+}
+
+// recoverPanic, deferred by a function that runs on a goroutine the
+// HTTP stack does not guard (a flight, a sweep point), turns a panic in
+// that function into its error and counts it in panics.  The error
+// answers 500, or a mid-stream error envelope, and since the panic
+// unwound past every cache and store write, nothing keeps its result.
+func recoverPanic(err *error, panics *atomic.Uint64) {
+	if p := recover(); p != nil {
+		panics.Add(1)
+		*err = fmt.Errorf("server: internal error: %v", p)
 	}
 }

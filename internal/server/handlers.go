@@ -12,6 +12,7 @@ import (
 
 	"repro"
 	"repro/internal/advisor"
+	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/store"
@@ -49,6 +50,8 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, err er
 // statusFor maps a handler error to an HTTP status.
 func statusFor(err error) int {
 	switch {
+	case errors.Is(err, exec.ErrSpotScheduleTooLarge):
+		return http.StatusBadRequest
 	case errors.Is(err, errBusy):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
@@ -133,9 +136,11 @@ func (s *Server) serveCachedRun(w http.ResponseWriter, r *http.Request, key stri
 		if err != nil {
 			return nil, err
 		}
+		// The answer waits for the memory LRU only: the disk copy is
+		// written behind it, so a repeat of the key in between is a hit.
 		s.cache.Put(key, body)
-		if s.store != nil {
-			s.store.Put(key, body) //nolint:errcheck // a failed persist only costs a future recompute
+		if s.writer != nil {
+			s.writer.enqueue(key, body)
 		}
 		return body, nil
 	})

@@ -193,7 +193,10 @@ func (s *Server) handleSweepV2(w http.ResponseWriter, r *http.Request) {
 	// bounded server cache: axes over workflow.* make specs vary per
 	// point, and each distinct spec pins a multi-thousand-task DAG.
 	err = sweep.Stream(r.Context(), 0, grid,
-		func(ctx context.Context, i int, p wire.ResolvedPoint) (wire.RunDocumentV2, error) {
+		func(ctx context.Context, i int, p wire.ResolvedPoint) (doc wire.RunDocumentV2, err error) {
+			// Points run on the sweep engine's workers, where a panic
+			// would exit the process.
+			defer recoverPanic(&err, &s.metrics.panics)
 			if s.testHookSweepPoint != nil {
 				if err := s.testHookSweepPoint(i); err != nil {
 					return wire.RunDocumentV2{}, err
@@ -266,9 +269,9 @@ func (s *Server) sweepPoint(ctx context.Context, p wire.ResolvedPoint) (wire.Run
 		return wire.RunDocumentV2{}, err
 	}
 	doc := wire.NewRunDocumentV2(p.Spec, res)
-	if s.store != nil {
+	if s.writer != nil {
 		if body, err := doc.Encode(); err == nil {
-			s.store.Put(key, body) //nolint:errcheck // a failed persist only costs a future recompute
+			s.writer.enqueue(key, body)
 		}
 	}
 	return doc, nil

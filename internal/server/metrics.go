@@ -43,6 +43,9 @@ type metrics struct {
 	peerFetches  atomic.Uint64 // runs relayed to their owning replica
 	peerFailures atomic.Uint64 // relays that degraded to local computation
 
+	storeDropped atomic.Uint64 // store writes refused by a full or closed queue
+	panics       atomic.Uint64 // panics recovered in flights and sweep points
+
 	inflight atomic.Int64 // requests holding a worker slot
 	queued   atomic.Int64 // requests waiting for a worker slot
 
@@ -165,6 +168,7 @@ func (m *metrics) snapshot(cache CacheStats, wf montage.CacheStats, st store.Sta
 	counter("reprosrv_coalesced_requests_total", "Requests that joined another request's in-flight simulation.", m.coalesced.Load())
 	counter("reprosrv_rejected_total", "Requests refused at the admission queue.", m.rejected.Load())
 	counter("reprosrv_errors_total", "Requests that failed.", m.errors.Load())
+	counter("reprosrv_panics_total", "Panics recovered in a simulation and answered as an error.", m.panics.Load())
 	gauge("reprosrv_in_flight", "Requests currently holding a worker slot.", m.inflight.Load())
 	gauge("reprosrv_queue_depth", "Requests waiting for a worker slot.", m.queued.Load())
 	counter("reprosrv_result_cache_hits_total", "Result-cache hits.", cache.Hits)
@@ -184,6 +188,7 @@ func (m *metrics) snapshot(cache CacheStats, wf montage.CacheStats, st store.Sta
 	counter("reprosrv_store_writes_total", "Disk-store entries persisted.", st.Writes)
 	counter("reprosrv_store_evictions_total", "Disk-store LRU evictions.", st.Evictions)
 	counter("reprosrv_store_corrupt_total", "Disk-store entries dropped as corrupt.", st.Corrupt)
+	counter("reprosrv_store_dropped_total", "Disk-store writes dropped because the write-behind queue was full or closed.", m.storeDropped.Load())
 	gauge("reprosrv_store_entries", "Disk-store resident entries.", int64(st.Entries))
 	gauge("reprosrv_store_bytes", "Disk-store resident bytes.", st.Bytes)
 	counter("reprosrv_peer_fetches_total", "Runs relayed to their owning replica.", m.peerFetches.Load())

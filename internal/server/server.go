@@ -144,8 +144,10 @@ type Server struct {
 	ridNonce string
 	ridSeq   atomic.Uint64
 
-	// store is the disk tier under the LRU; nil when StoreDir is unset.
-	store *store.Store
+	// store is the disk tier under the LRU, and writer the write-behind
+	// queue in front of its Put; both nil when StoreDir is unset.
+	store  *store.Store
+	writer *storeWriter
 	// ring/relay shard the v2 key space across Peers; nil off a pool.
 	ring  *shard.Ring
 	relay *shard.Client
@@ -171,11 +173,13 @@ func New(cfg Config) (*Server, error) {
 	if logger == nil {
 		logger = slog.New(discardLogs{})
 	}
+	m := newMetrics(cfg.Version)
 	s := &Server{
 		cfg:      cfg,
 		cache:    newResultCache(cfg.CacheEntries),
 		wfCache:  montage.NewCache(cfg.WorkflowCacheEntries),
-		metrics:  newMetrics(cfg.Version),
+		flights:  flightGroup{panics: &m.panics},
+		metrics:  m,
 		sem:      make(chan struct{}, cfg.MaxConcurrent),
 		logger:   logger,
 		ridNonce: newRequestIDNonce(),
@@ -205,6 +209,9 @@ func New(cfg Config) (*Server, error) {
 		s.self = cfg.Self
 		s.relay = shard.NewClient(cfg.PeerTimeout)
 	}
+	if s.store != nil {
+		s.writer = newStoreWriter(s.store, &m.storeDropped)
+	}
 	// Endpoint labels are the stable metrics keys of the routes: every
 	// route is wrapped by instrument (request ID + counter + latency
 	// histogram + one structured log line).
@@ -225,6 +232,18 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the service's HTTP handler (for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// Close stops the store's write-behind queue and returns once every
+// result already queued is on disk.  Misses answered after it are still
+// cached in memory, but their writes are dropped and counted.  Serve's
+// drain calls it after the HTTP server has shut down; a Server used
+// only through Handler calls it before its store directory is read
+// back.  It is safe to call more than once.
+func (s *Server) Close() {
+	if s.writer != nil {
+		s.writer.close()
+	}
+}
 
 // errBusy is returned by admit when the wait queue is full.
 var errBusy = errors.New("server: at capacity, try again later")
@@ -258,7 +277,8 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 
 // Serve accepts connections on l until ctx is canceled, then drains:
 // in-flight requests get up to DrainTimeout to finish before the
-// process gives up on them.  It returns nil on a clean drain.
+// process gives up on them, and then Close persists every queued store
+// write.  It returns nil on a clean drain.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	srv := &http.Server{
 		Handler: s.Handler(),
@@ -281,5 +301,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 		// Serve returned without a shutdown (listener closed externally).
 		return nil
 	}
-	return <-shutdownErr
+	err := <-shutdownErr
+	s.Close()
+	return err
 }

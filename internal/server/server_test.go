@@ -26,7 +26,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	// Close after the HTTP server: no handler queues a store write any
+	// more, and the queued ones land before t.TempDir is removed.
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
 	return s, ts
 }
 
@@ -386,41 +391,50 @@ func TestSweepStreamsNDJSONInGridOrder(t *testing.T) {
 // TestSweepMidStreamFailureEmitsErrorEnvelope pins the wire contract
 // for a grid that fails after rows have streamed: the 200 status line
 // is long gone, so the stream must end with an unambiguous {"error"}
-// envelope -- never a bare data row, and no done sentinel.
+// envelope -- never a bare data row, and no done sentinel.  A point
+// that panics fails the same way, and the panic is counted.
 func TestSweepMidStreamFailureEmitsErrorEnvelope(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
-	s.testHookSweepPoint = func(index int) error {
-		if index == 2 {
+	for _, panics := range []bool{false, true} {
+		s, ts := newTestServer(t, Config{})
+		s.testHookSweepPoint = func(index int) error {
+			if index != 2 {
+				return nil
+			}
+			if panics {
+				panic(fmt.Sprintf("injected failure at point %d", index))
+			}
 			return fmt.Errorf("injected failure at point %d", index)
 		}
-		return nil
-	}
-	resp, envs := readSweep(t, ts, processorSweep)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d; the failure was supposed to hit mid-stream", resp.StatusCode)
-	}
-	var rows int
-	var sawError bool
-	for _, e := range envs {
-		switch {
-		case sawError:
-			t.Errorf("line after the terminal error envelope: %+v", e)
-		case e.Row != nil:
-			rows++
-		case e.Error != "":
-			sawError = true
-			if !strings.Contains(e.Error, "injected failure") {
-				t.Errorf("error envelope says %q", e.Error)
-			}
-		case e.Done != nil:
-			t.Error("done sentinel on a failed sweep")
+		resp, envs := readSweep(t, ts, processorSweep)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("panics=%v: status %d; the failure was supposed to hit mid-stream", panics, resp.StatusCode)
 		}
-	}
-	if rows != 2 {
-		t.Errorf("streamed %d rows before the failure, want 2", rows)
-	}
-	if !sawError {
-		t.Error("stream ended without the error envelope")
+		var rows int
+		var sawError bool
+		for _, e := range envs {
+			switch {
+			case sawError:
+				t.Errorf("panics=%v: line after the terminal error envelope: %+v", panics, e)
+			case e.Row != nil:
+				rows++
+			case e.Error != "":
+				sawError = true
+				if !strings.Contains(e.Error, "injected failure") {
+					t.Errorf("panics=%v: error envelope says %q", panics, e.Error)
+				}
+			case e.Done != nil:
+				t.Errorf("panics=%v: done sentinel on a failed sweep", panics)
+			}
+		}
+		if rows != 2 {
+			t.Errorf("panics=%v: streamed %d rows before the failure, want 2", panics, rows)
+		}
+		if !sawError {
+			t.Errorf("panics=%v: stream ended without the error envelope", panics)
+		}
+		if got, want := s.metrics.panics.Load(), map[bool]uint64{false: 0, true: 1}[panics]; got != want {
+			t.Errorf("panics=%v: reprosrv_panics_total = %d, want %d", panics, got, want)
+		}
 	}
 }
 

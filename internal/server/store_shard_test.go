@@ -56,7 +56,7 @@ func postV2Run(t *testing.T, url, body string, relayed bool) (*http.Response, []
 // memory LRU comes back byte-identical from the disk store, labeled
 // X-Cache: store.
 func TestRunV2StoreTierServesEvictedEntries(t *testing.T) {
-	_, ts := newTestServer(t, Config{CacheEntries: 1, StoreDir: t.TempDir()})
+	s, ts := newTestServer(t, Config{CacheEntries: 1, StoreDir: t.TempDir()})
 
 	cold, coldBody := postV2Run(t, ts.URL, v2Scenario(4), false)
 	if got := cold.Header.Get("X-Cache"); got != "miss" {
@@ -64,6 +64,9 @@ func TestRunV2StoreTierServesEvictedEntries(t *testing.T) {
 	}
 	// A second scenario evicts the first from the single-entry LRU.
 	postV2Run(t, ts.URL, v2Scenario(8), false)
+	// Misses are persisted behind their answers; Close waits for both
+	// writes to land.
+	s.Close()
 
 	warm, warmBody := postV2Run(t, ts.URL, v2Scenario(4), false)
 	if got := warm.Header.Get("X-Cache"); got != "store" {
@@ -79,9 +82,10 @@ func TestRunV2StoreTierServesEvictedEntries(t *testing.T) {
 // re-simulation -- by a fresh daemon over the same store directory.
 func TestRunV2StoreSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	_, ts1 := newTestServer(t, Config{StoreDir: dir})
+	s1, ts1 := newTestServer(t, Config{StoreDir: dir})
 	_, coldBody := postV2Run(t, ts1.URL, v2Scenario(4), false)
 	ts1.Close()
+	s1.Close() // what Serve's drain does on SIGTERM
 
 	s2, ts2 := newTestServer(t, Config{StoreDir: dir})
 	warm, warmBody := postV2Run(t, ts2.URL, v2Scenario(4), false)
@@ -102,9 +106,10 @@ func TestRunV2StoreSurvivesRestart(t *testing.T) {
 // entry on disk.
 func TestRunV2CorruptStoreEntryRecomputesAndRepairs(t *testing.T) {
 	dir := t.TempDir()
-	_, ts1 := newTestServer(t, Config{StoreDir: dir})
+	s1, ts1 := newTestServer(t, Config{StoreDir: dir})
 	_, coldBody := postV2Run(t, ts1.URL, v2Scenario(4), false)
 	ts1.Close()
+	s1.Close()
 
 	corruptOneEntry(t, dir)
 
@@ -116,6 +121,7 @@ func TestRunV2CorruptStoreEntryRecomputesAndRepairs(t *testing.T) {
 	if !bytes.Equal(coldBody, body) {
 		t.Errorf("recomputed bytes differ from original:\nwas: %s\nnow: %s", coldBody, body)
 	}
+	s2.Close() // the repair is written behind the answer
 	st := s2.store.Stats()
 	if st.Corrupt != 1 {
 		t.Errorf("corrupt counter = %d, want 1", st.Corrupt)
@@ -295,8 +301,9 @@ func TestHealthzReportsStore(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{StoreDir: dir})
+	s, ts := newTestServer(t, Config{StoreDir: dir})
 	postV2Run(t, ts.URL, v2Scenario(4), false)
+	s.Close() // the entry is written behind the answer
 	_, body = getBody(t, ts.URL+"/healthz")
 	for _, want := range []string{`"store"`, `"entries": 1`, dir} {
 		if !strings.Contains(string(body), want) {

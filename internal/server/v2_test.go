@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/wire"
@@ -272,5 +273,59 @@ func TestExperimentV2ParamsBody(t *testing.T) {
 	// An empty body runs the canned default grid.
 	if resp, _ := postJSON(t, ts.URL+"/v2/experiments/scenario-grid", ""); resp.StatusCode != http.StatusOK {
 		t.Errorf("empty params body: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// spotBlowup passes strict decode and Resolve, but its per-instance
+// spot schedule could hold about 10^16 reclaims: sampling it used to
+// panic in makeslice and kill the daemon.
+const spotBlowup = `{"version":2,"workflow":{"name":"montage-1deg"},"fleet":{"processors":16},` +
+	`"spot":{"rate_per_hour":1e12,"downtime_seconds":1e-9}}`
+
+// TestSpotScheduleBoundIsBadRequest: a scenario whose spot schedule is
+// past the sampler's bound is the client's error, from /v2/run and as a
+// /v2/sweep axis value, and the daemon keeps serving.
+func TestSpotScheduleBoundIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, body := postJSON(t, ts.URL+"/v2/run", spotBlowup)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "spot.downtime_seconds") {
+		t.Errorf("/v2/run: status %d, body %s; want a 400 naming the knobs", resp.StatusCode, body)
+	}
+	sweep := `{"scenario":{"version":2,"workflow":{"name":"montage-1deg"},"fleet":{"processors":16},` +
+		`"spot":{"rate_per_hour":1,"downtime_seconds":1e-9}},"axes":[{"axis":"spot.rate_per_hour","values":[1e12]}]}`
+	resp, body = postJSON(t, ts.URL+"/v2/sweep", sweep)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("/v2/sweep: status %d, body %s; want 400", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v2/run", baseline); resp.StatusCode != http.StatusOK {
+		t.Errorf("next run: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestRunV2PanicIsServerError: a panic inside a simulation answers 500
+// and is counted; nothing of it is cached, so the next request for the
+// same key simulates again and succeeds.
+func TestRunV2PanicIsServerError(t *testing.T) {
+	s, ts := newTestServer(t, Config{StoreDir: t.TempDir()})
+	var fired atomic.Bool
+	s.testHookPreSim = func() {
+		if fired.CompareAndSwap(false, true) {
+			panic("injected simulation panic")
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v2/run", baseline)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "injected simulation panic") {
+		t.Errorf("panicking run: status %d, body %s; want 500", resp.StatusCode, body)
+	}
+	if got := s.metrics.panics.Load(); got != 1 {
+		t.Errorf("reprosrv_panics_total = %d, want 1", got)
+	}
+	resp, body = postJSON(t, ts.URL+"/v2/run", baseline)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
+		t.Errorf("next run: status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), body)
+	}
+	s.Close()
+	if st := s.store.Stats(); st.Writes != 1 {
+		t.Errorf("store writes = %d; want only the good run stored", st.Writes)
 	}
 }

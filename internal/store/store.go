@@ -52,6 +52,13 @@ import (
 	"time"
 )
 
+// gzipWriters recycles the envelope compressors: each gzip.Writer
+// carries about 800 KB of deflate state, so a fresh one per Put would
+// make that garbage on every persisted result.  Reset restores the
+// default level and an empty header, so a recycled writer emits the
+// same bytes as a new one.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // magic opens every envelope; the trailing 1 is the format generation.
 var magic = [8]byte{'R', 'P', 'S', 'T', 'O', 'R', 'E', '1'}
 
@@ -316,7 +323,9 @@ func (s *Store) encode(key string, body []byte) ([]byte, error) {
 	binary.BigEndian.PutUint32(word[:], uint32(len(key)))
 	buf.Write(word[:])
 	buf.WriteString(key)
-	zw := gzip.NewWriter(&buf)
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(&buf)
 	if _, err := zw.Write(body); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}

@@ -25,17 +25,6 @@ type Profile struct {
 	Jitter float64 // relative half-width; samples fall in Base*(1±Jitter)
 }
 
-// Validate reports whether the profile is usable.
-func (p Profile) Validate() error {
-	if p.Base < 0 {
-		return fmt.Errorf("trace: negative base %v", p.Base)
-	}
-	if p.Jitter < 0 || p.Jitter >= 1 {
-		return fmt.Errorf("trace: jitter %v outside [0,1)", p.Jitter)
-	}
-	return nil
-}
-
 // Sampler draws deterministic values from Profiles.
 type Sampler struct {
 	rng *rand.Rand

@@ -6,29 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestProfileValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		p    Profile
-		ok   bool
-	}{
-		{"plain", Profile{Base: 100, Jitter: 0.2}, true},
-		{"zero", Profile{}, true},
-		{"no jitter", Profile{Base: 5}, true},
-		{"negative base", Profile{Base: -1}, false},
-		{"negative jitter", Profile{Base: 1, Jitter: -0.1}, false},
-		{"jitter one", Profile{Base: 1, Jitter: 1}, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			err := tc.p.Validate()
-			if (err == nil) != tc.ok {
-				t.Errorf("Validate() err = %v, want ok=%v", err, tc.ok)
-			}
-		})
-	}
-}
-
 func TestSamplerDeterministic(t *testing.T) {
 	p := Profile{Base: 100, Jitter: 0.3}
 	a, b := NewSampler(42), NewSampler(42)

@@ -35,9 +35,6 @@ type Bytes int64
 // GB returns the size in decimal gigabytes.
 func (b Bytes) GB() float64 { return float64(b) / GB }
 
-// MB returns the size in decimal megabytes.
-func (b Bytes) MB() float64 { return float64(b) / MB }
-
 // String renders the size with a human-friendly decimal SI suffix.
 func (b Bytes) String() string {
 	v := float64(b)
@@ -89,9 +86,6 @@ type Money float64
 
 // Dollars returns the amount as a float64 dollar value.
 func (m Money) Dollars() float64 { return float64(m) }
-
-// Cents returns the amount in cents.
-func (m Money) Cents() float64 { return float64(m) * 100 }
 
 // String renders the amount as dollars with four significant decimals so
 // that sub-cent per-request costs stay visible.

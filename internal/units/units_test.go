@@ -13,20 +13,16 @@ func TestBytesConversions(t *testing.T) {
 		name   string
 		b      Bytes
 		wantGB float64
-		wantMB float64
 	}{
-		{"zero", 0, 0, 0},
-		{"one GB", Bytes(1e9), 1, 1000},
-		{"mosaic 1deg", Bytes(173.46 * MB), 0.17346, 173.46},
-		{"archive 12TB", Bytes(12 * TB), 12000, 12e6},
+		{"zero", 0, 0},
+		{"one GB", Bytes(1e9), 1},
+		{"mosaic 1deg", Bytes(173.46 * MB), 0.17346},
+		{"archive 12TB", Bytes(12 * TB), 12000},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			if !almostEqual(tt.b.GB(), tt.wantGB, 1e-9) {
 				t.Errorf("GB() = %v, want %v", tt.b.GB(), tt.wantGB)
-			}
-			if !almostEqual(tt.b.MB(), tt.wantMB, 1e-6) {
-				t.Errorf("MB() = %v, want %v", tt.b.MB(), tt.wantMB)
 			}
 		})
 	}
@@ -93,9 +89,6 @@ func TestMoneyString(t *testing.T) {
 		if got := tt.m.String(); got != tt.want {
 			t.Errorf("Money(%v).String() = %q, want %q", float64(tt.m), got, tt.want)
 		}
-	}
-	if !almostEqual(Money(0.56).Cents(), 56, 1e-9) {
-		t.Errorf("Cents() = %v, want 56", Money(0.56).Cents())
 	}
 }
 

@@ -2,7 +2,7 @@
 # Run the benchmark suites with repeats and emit one baseline file per
 # suite at the repo root -- BENCH_exec.json (executor + event loop, and
 # a spot run through core), BENCH_sweep.json (sweep-engine grid
-# kernel), BENCH_store.json (disk-store put/get/scan) and
+# kernel), BENCH_store.json (disk-store get and envelope encode) and
 # BENCH_montage.json (workflow generation): one JSON object per
 # benchmark run, carrying name, iterations, ns/op and (when the suite
 # reports them) B/op and allocs/op.
@@ -85,7 +85,8 @@ bench_to_json() {
 suites | while read -r suite pkgs; do
 	# The store's put (two fsyncs per op) and startup-scan (256 files of
 	# stat + readdir) benchmarks are IO-bound and swing well past 25%
-	# run to run, so only the CPU-bound read path is gated for them.
+	# run to run, so only the CPU-bound read path and envelope encode
+	# are gated for them.
 	exclude=""
 	[ "$suite" = "store" ] && exclude="StorePut|StoreOpenScan"
 	# shellcheck disable=SC2086 # pkgs is a deliberate word list

@@ -2,9 +2,10 @@
 # Smoke test persistence and sharding end to end.
 #
 # Part 1 (persistence): boot reprosrv with -store-dir, compute one run,
-# SIGTERM the daemon, boot a fresh one over the same directory and
-# assert the warm daemon serves the identical bytes with X-Cache: store
-# -- i.e. from disk, without re-simulating.
+# wait for its write-behind persist, SIGTERM the daemon, boot a fresh
+# one over the same directory and assert the warm daemon serves the
+# identical bytes with X-Cache: store -- i.e. from disk, without
+# re-simulating.
 #
 # Part 2 (sharding): boot a two-replica peered pool and assert a
 # sharded /v2/sweep streams bytes identical to the same sweep on a
@@ -55,7 +56,17 @@ wait_healthy "$ADDR"
 curl -sf -D "$WORK/h1" -X POST "http://$ADDR/v2/run" \
 	-H 'Content-Type: application/json' -d "$SCENARIO" >"$WORK/cold"
 grep -qi '^X-Cache: miss' "$WORK/h1" || fail "cold run was not a miss"
-curl -sf "http://$ADDR/metrics" | grep -q '^reprosrv_store_writes_total 1$' || fail "cold run was not persisted"
+# The miss is answered before its store write, which lands moments
+# later: poll for it, for at most five seconds.
+persisted=""
+for _ in $(seq 1 50); do
+	if curl -sf "http://$ADDR/metrics" | grep -q '^reprosrv_store_writes_total 1$'; then
+		persisted=1
+		break
+	fi
+	sleep 0.1
+done
+[ -n "$persisted" ] || fail "cold run was not persisted"
 
 kill -TERM "$SRV"
 wait "$SRV" 2>/dev/null || true
