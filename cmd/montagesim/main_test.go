@@ -158,6 +158,31 @@ func TestRunCustomErrors(t *testing.T) {
 	}
 }
 
+// TestRunCustomRejectsNonFinite pins that a flag value JSON cannot
+// carry fails before anything runs, in every output format, with an
+// error naming the scenario knob: -spot-rate Inf used to run and then
+// fail to encode its -json document.
+func TestRunCustomRejectsNonFinite(t *testing.T) {
+	for _, args := range [][]string{
+		{"-spot-rate", "Inf", "spot.rate_per_hour"},
+		{"-spot-rate", "1", "-spot-down", "NaN", "spot.downtime_seconds"},
+		{"-spot-rate", "1", "-spot-ckpt", "300", "-spot-ckpt-overhead", "-Inf", "recovery.checkpoint_overhead_seconds"},
+	} {
+		flags, path := args[:len(args)-1], args[len(args)-1]
+		run := runArgs(t, append([]string{"-run", "1deg", "-procs", "16"}, flags...)...)
+		for _, format := range []string{"json", "csv", "text"} {
+			var b strings.Builder
+			err := runScenario(context.Background(), run, format, "", &b)
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("%v -%s: err = %v, want an error naming %s", flags, format, err, path)
+			}
+			if b.Len() != 0 {
+				t.Errorf("%v -%s: wrote %q before failing", flags, format, b.String())
+			}
+		}
+	}
+}
+
 func TestRealMainArgs(t *testing.T) {
 	run := wire.Scenario{Version: wire.Version, Workflow: wire.WorkflowSection{Name: "1deg"}}
 	if err := realMain(context.Background(), "fig4", "text", "", run, ""); err == nil {

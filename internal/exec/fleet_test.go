@@ -444,10 +444,13 @@ func TestSpotScheduleInstances(t *testing.T) {
 }
 
 // TestSpotScheduleInstancesMatchesReference pins the sampler's output
-// to its reference construction -- a fresh rand source per instance and
-// a stable sort of the concatenated streams by (Reclaim, Warning,
-// Restore) -- across fleet sizes that are not powers of two and
-// horizons short enough that some instances draw nothing.
+// -- its lazily seeded source and its run merge -- to its reference
+// construction: a fresh math/rand source per instance and a stable
+// sort of the concatenated streams by (Reclaim, Warning, Restore).  It
+// covers TestSpotScheduleInstances' shapes, fleet sizes that are not
+// powers of two, horizons short enough that some instances draw
+// nothing, rates high enough that downtime alone spaces the reclaims,
+// and random shapes.
 func TestSpotScheduleInstancesMatchesReference(t *testing.T) {
 	reference := func(horizon units.Duration, procs int, rate float64, warning, down units.Duration, seed int64) []Preemption {
 		var out []Preemption
@@ -479,23 +482,44 @@ func TestSpotScheduleInstancesMatchesReference(t *testing.T) {
 		})
 		return out
 	}
-	for _, tc := range []struct {
-		horizon units.Duration
-		procs   int
-		rate    float64
-		seed    int64
-	}{
-		{3600, 1, 2, 1},
-		{1800, 7, 0.5, 2},
-		{24 * 3600, 13, 1, 3},
-		{48 * 3600, 128, 1, 4},
-		{600, 64, 0.1, 5},
-	} {
-		got, err := SpotScheduleInstances(tc.horizon, tc.procs, tc.rate, 120, 600, tc.seed)
+	type shape struct {
+		horizon       units.Duration
+		procs         int
+		rate          float64
+		warning, down units.Duration
+		seed          int64
+	}
+	shapes := []shape{
+		{24 * 3600, 8, 0.5, 120, 900, 42},
+		{24 * 3600, 8, 0.5, 120, 900, 43},
+		{24 * 3600, 8, 1e12, 120, 900, 1},
+		{24 * 3600, 8, math.Inf(1), 120, 900, 1},
+		{3600, 1, 2, 120, 600, 1},
+		{1800, 7, 0.5, 120, 600, 2},
+		{24 * 3600, 13, 1, 120, 600, 3},
+		{48 * 3600, 128, 1, 120, 600, 4},
+		{600, 64, 0.1, 120, 600, 5},
+		{177 * 3600, 3, 1, 120, 600, 0},
+		{24 * 3600, 5, 1, 0, 60, math.MinInt64},
+		{24 * 3600, 5, 1, 120, 60, math.MaxInt64},
+	}
+	gen := rand.New(rand.NewSource(2026))
+	for i := 0; i < 200; i++ {
+		shapes = append(shapes, shape{
+			horizon: units.Duration(1 + gen.Float64()*72*3600),
+			procs:   1 + gen.Intn(64),
+			rate:    gen.ExpFloat64(),
+			warning: units.Duration(gen.Float64() * 300),
+			down:    units.Duration(1 + gen.Float64()*1800),
+			seed:    int64(gen.Uint64()),
+		})
+	}
+	for _, tc := range shapes {
+		got, err := SpotScheduleInstances(tc.horizon, tc.procs, tc.rate, tc.warning, tc.down, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := reference(tc.horizon, tc.procs, tc.rate, 120, 600, tc.seed)
+		want := reference(tc.horizon, tc.procs, tc.rate, tc.warning, tc.down, tc.seed)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%+v: schedule of %d reclaims differs from the %d-reclaim reference", tc, len(got), len(want))
 		}

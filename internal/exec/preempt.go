@@ -430,9 +430,12 @@ func SpotScheduleInstances(horizon units.Duration, procs int, ratePerHour float6
 	out := make([]Preemption, 0, procs*int(perInstance))
 	runs := make([]int, procs+1) // instance i's reclaims are out[runs[i]:runs[i+1]]
 	// One generator re-seeded per instance: Seed resets the whole source
-	// state, so each instance draws exactly the stream a fresh source
-	// with its sub-seed would.
-	rng := rand.New(rand.NewSource(seed))
+	// state, so each instance draws exactly the stream a fresh
+	// rand.NewSource with its sub-seed would.  The source seeds lazily
+	// (lazySource), so an instance pays only for the table entries its
+	// few draws read.
+	var src lazySource
+	rng := rand.New(&src)
 	for i := 0; i < procs; i++ {
 		// Decorrelate instances with a SplitMix64-style odd-constant
 		// stride; adjacent raw seeds would make rand.Source streams that

@@ -44,6 +44,7 @@ type metrics struct {
 	peerFailures atomic.Uint64 // relays that degraded to local computation
 
 	storeDropped atomic.Uint64 // store writes refused by a full or closed queue
+	storeQueued  atomic.Int64  // store writes queued and not yet persisted
 	panics       atomic.Uint64 // panics recovered in flights and sweep points
 
 	inflight atomic.Int64 // requests holding a worker slot
@@ -189,6 +190,7 @@ func (m *metrics) snapshot(cache CacheStats, wf montage.CacheStats, st store.Sta
 	counter("reprosrv_store_evictions_total", "Disk-store LRU evictions.", st.Evictions)
 	counter("reprosrv_store_corrupt_total", "Disk-store entries dropped as corrupt.", st.Corrupt)
 	counter("reprosrv_store_dropped_total", "Disk-store writes dropped because the write-behind queue was full or closed.", m.storeDropped.Load())
+	gauge("reprosrv_store_queue_depth", "Disk-store writes queued behind the response and not yet persisted.", m.storeQueued.Load())
 	gauge("reprosrv_store_entries", "Disk-store resident entries.", int64(st.Entries))
 	gauge("reprosrv_store_bytes", "Disk-store resident bytes.", st.Bytes)
 	counter("reprosrv_peer_fetches_total", "Runs relayed to their owning replica.", m.peerFetches.Load())

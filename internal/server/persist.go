@@ -33,6 +33,7 @@ type storeWrite struct {
 type storeWriter struct {
 	st      *store.Store
 	dropped *atomic.Uint64 // writes refused by a full or closed queue
+	pending *atomic.Int64  // writes queued and not yet persisted
 
 	mu     sync.Mutex // orders enqueue's send against close
 	closed bool
@@ -43,11 +44,12 @@ type storeWriter struct {
 
 // newStoreWriter starts the writer goroutine for st.  Whoever owns the
 // writer must call close, which returns once the goroutine has exited.
-func newStoreWriter(st *store.Store, dropped *atomic.Uint64) *storeWriter {
+func newStoreWriter(st *store.Store, dropped *atomic.Uint64, pending *atomic.Int64) *storeWriter {
 	ctx, stop := context.WithCancel(context.Background())
 	w := &storeWriter{
 		st:      st,
 		dropped: dropped,
+		pending: pending,
 		queue:   make(chan storeWrite, storeQueueDepth),
 		stop:    stop,
 		done:    make(chan struct{}),
@@ -65,6 +67,7 @@ func (w *storeWriter) run(ctx context.Context) {
 		select {
 		case e := <-w.queue:
 			w.st.Put(e.key, e.body) //nolint:errcheck // a failed persist only costs a future recompute
+			w.pending.Add(-1)
 		case <-ctx.Done():
 			// close refuses new writes before it cancels, so an empty
 			// queue stays empty.
@@ -75,15 +78,19 @@ func (w *storeWriter) run(ctx context.Context) {
 	}
 }
 
-// enqueue hands one result to the writer without ever blocking.
+// enqueue hands one result to the writer without ever blocking.  The
+// pending count rises before the send, so the writer's decrement never
+// precedes it and the gauge never reads below zero.
 func (w *storeWriter) enqueue(key string, body []byte) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if !w.closed {
+		w.pending.Add(1)
 		select {
 		case w.queue <- storeWrite{key: key, body: body}:
 			return
 		default:
+			w.pending.Add(-1)
 		}
 	}
 	w.dropped.Add(1)

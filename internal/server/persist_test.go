@@ -21,8 +21,9 @@ import (
 // persists everything that was queued before it.
 func TestStoreWriterDropsWhenFullOrClosed(t *testing.T) {
 	var dropped atomic.Uint64
+	var pending atomic.Int64
 	// No writer goroutine drains this one-slot queue, so it fills.
-	full := &storeWriter{dropped: &dropped, queue: make(chan storeWrite, 1)}
+	full := &storeWriter{dropped: &dropped, pending: &pending, queue: make(chan storeWrite, 1)}
 	full.enqueue("a", []byte("1"))
 	full.enqueue("b", []byte("2"))
 	if got := dropped.Load(); got != 1 {
@@ -34,7 +35,7 @@ func TestStoreWriterDropsWhenFullOrClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newStoreWriter(st, &dropped)
+	w := newStoreWriter(st, &dropped, &pending)
 	for i := 0; i < 10; i++ {
 		w.enqueue(fmt.Sprint("key-", i), []byte("body"))
 	}
@@ -46,6 +47,46 @@ func TestStoreWriterDropsWhenFullOrClosed(t *testing.T) {
 	}
 	if got := dropped.Load(); got != 1 {
 		t.Errorf("write after close: dropped = %d, want 1", got)
+	}
+}
+
+// TestStoreWriterQueueDepth: the pending gauge counts the writes queued
+// and not yet persisted -- a refused write never shows in it -- and
+// reads zero once close has persisted the queue, on /metrics too.
+func TestStoreWriterQueueDepth(t *testing.T) {
+	var dropped atomic.Uint64
+	var pending atomic.Int64
+	// No writer goroutine drains this three-slot queue.
+	stalled := &storeWriter{dropped: &dropped, pending: &pending, queue: make(chan storeWrite, 3)}
+	for i := 0; i < 5; i++ {
+		stalled.enqueue(fmt.Sprint("key-", i), []byte("body"))
+		if got, want := pending.Load(), int64(min(i+1, 3)); got != want {
+			t.Fatalf("after %d writes to a stalled 3-slot queue: pending = %d, want %d", i+1, got, want)
+		}
+	}
+	if got := dropped.Load(); got != 2 {
+		t.Errorf("stalled queue: dropped = %d, want 2", got)
+	}
+
+	s, ts := newTestServer(t, Config{StoreDir: t.TempDir()})
+	for i := 1; i <= 4; i++ {
+		postV2Run(t, ts.URL, v2Scenario(i), false)
+	}
+	s.Close()
+	if got := s.store.Stats().Writes; got != 4 {
+		t.Fatalf("store writes = %d after Close, want 4", got)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(body), "\nreprosrv_store_queue_depth 0\n") {
+		t.Errorf("/metrics after Close lacks reprosrv_store_queue_depth 0:\n%s", body)
 	}
 }
 

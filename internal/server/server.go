@@ -210,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 		s.relay = shard.NewClient(cfg.PeerTimeout)
 	}
 	if s.store != nil {
-		s.writer = newStoreWriter(s.store, &m.storeDropped)
+		s.writer = newStoreWriter(s.store, &m.storeDropped, &m.storeQueued)
 	}
 	// Endpoint labels are the stable metrics keys of the routes: every
 	// route is wrapped by instrument (request ID + counter + latency

@@ -688,7 +688,7 @@ func TestMetricsPrometheusConformance(t *testing.T) {
 		// depend on configuration.
 		"reprosrv_store_hits_total", "reprosrv_store_misses_total", "reprosrv_store_writes_total",
 		"reprosrv_store_evictions_total", "reprosrv_store_corrupt_total",
-		"reprosrv_store_entries", "reprosrv_store_bytes",
+		"reprosrv_store_entries", "reprosrv_store_bytes", "reprosrv_store_queue_depth",
 		"reprosrv_peer_fetches_total", "reprosrv_peer_failures_total",
 	} {
 		if !samples[want] {

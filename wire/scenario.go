@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
@@ -221,6 +222,9 @@ func (s Scenario) Resolve() (montage.Spec, core.Plan, error) {
 	if s.Version != Version {
 		return fail(fmt.Errorf("wire: unsupported scenario version %d (this build speaks version %d)", s.Version, Version))
 	}
+	if err := s.checkFinite(); err != nil {
+		return fail(err)
+	}
 	spec, err := s.Workflow.resolve()
 	if err != nil {
 		return fail(err)
@@ -391,6 +395,56 @@ func (s Scenario) Resolve() (montage.Spec, core.Plan, error) {
 	}
 
 	return spec, plan.Canonical(), nil
+}
+
+// checkFinite rejects a NaN or infinite number in any float knob,
+// naming the knob by its JSON path.  JSON cannot carry such a value, so
+// a decoded document never holds one; a scenario built in Go (a
+// montagesim -run flag, a library caller) could, and its result
+// document, which echoes the scenario, could then not be encoded.
+func (s Scenario) checkFinite() error {
+	var (
+		st StorageSection
+		pr PricingSection
+		sp SpotSection
+		rc RecoverySection
+	)
+	if s.Storage != nil {
+		st = *s.Storage
+	}
+	if s.Pricing != nil {
+		pr = *s.Pricing
+	}
+	if s.Spot != nil {
+		sp = *s.Spot
+	}
+	if s.Recovery != nil {
+		rc = *s.Recovery
+	}
+	for _, k := range [...]struct {
+		path string
+		v    float64
+	}{
+		{"workflow.degrees", s.Workflow.Degrees},
+		{"workflow.ccr", s.Workflow.CCR},
+		{"storage.bandwidth_mbps", st.BandwidthMbps},
+		{"pricing.cpu_per_hour", pr.CPUPerHour},
+		{"pricing.storage_per_gb_month", pr.StoragePerGBMonth},
+		{"pricing.transfer_in_per_gb", pr.TransferInPerGB},
+		{"pricing.transfer_out_per_gb", pr.TransferOutPerGB},
+		{"spot.rate_per_hour", sp.RatePerHour},
+		{"spot.warning_seconds", sp.WarningSeconds},
+		{"spot.downtime_seconds", sp.DowntimeSeconds},
+		{"spot.discount", sp.Discount},
+		{"recovery.checkpoint_seconds", rc.CheckpointSeconds},
+		{"recovery.checkpoint_overhead_seconds", rc.CheckpointOverheadSeconds},
+		{"recovery.checkpoint_bytes", rc.CheckpointBytes},
+	} {
+		if math.IsNaN(k.v) || math.IsInf(k.v, 0) {
+			return fmt.Errorf("wire: %s is %v; a scenario number must be finite, as JSON can carry no other", k.path, k.v)
+		}
+	}
+	return nil
 }
 
 // roundDegrees is a custom mosaic's generation seed: its size rounded

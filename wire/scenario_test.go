@@ -1,12 +1,17 @@
 package wire
 
 import (
+	"context"
+	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/datamgmt"
+	"repro/internal/montage"
 	"repro/internal/units"
 )
 
@@ -179,6 +184,42 @@ func TestScenarioResolveErrors(t *testing.T) {
 	}
 }
 
+// TestScenarioResolveRejectsNonFinite sets each float knob in turn to
+// NaN, +Inf and -Inf and requires Resolve to refuse the scenario with
+// an error naming the knob's JSON path.  JSON cannot carry these
+// values, so only scenarios built in Go reach here with one.
+func TestScenarioResolveRejectsNonFinite(t *testing.T) {
+	for path, set := range map[string]func(*Scenario, float64){
+		"workflow.degrees":             func(s *Scenario, v float64) { s.Workflow = WorkflowSection{Degrees: v} },
+		"workflow.ccr":                 func(s *Scenario, v float64) { s.Workflow.CCR = v },
+		"storage.bandwidth_mbps":       func(s *Scenario, v float64) { s.Storage = &StorageSection{BandwidthMbps: v} },
+		"pricing.cpu_per_hour":         func(s *Scenario, v float64) { s.Pricing = &PricingSection{CPUPerHour: v} },
+		"pricing.storage_per_gb_month": func(s *Scenario, v float64) { s.Pricing = &PricingSection{StoragePerGBMonth: v} },
+		"pricing.transfer_in_per_gb":   func(s *Scenario, v float64) { s.Pricing = &PricingSection{TransferInPerGB: v} },
+		"pricing.transfer_out_per_gb":  func(s *Scenario, v float64) { s.Pricing = &PricingSection{TransferOutPerGB: v} },
+		"spot.rate_per_hour":           func(s *Scenario, v float64) { s.Spot = &SpotSection{RatePerHour: v} },
+		"spot.warning_seconds":         func(s *Scenario, v float64) { s.Spot = &SpotSection{RatePerHour: 1, WarningSeconds: v} },
+		"spot.downtime_seconds":        func(s *Scenario, v float64) { s.Spot = &SpotSection{RatePerHour: 1, DowntimeSeconds: v} },
+		"spot.discount":                func(s *Scenario, v float64) { s.Spot = &SpotSection{RatePerHour: 1, Discount: v} },
+		"recovery.checkpoint_seconds":  func(s *Scenario, v float64) { s.Recovery = &RecoverySection{CheckpointSeconds: v} },
+		"recovery.checkpoint_overhead_seconds": func(s *Scenario, v float64) {
+			s.Recovery = &RecoverySection{CheckpointSeconds: 300, CheckpointOverheadSeconds: v}
+		},
+		"recovery.checkpoint_bytes": func(s *Scenario, v float64) {
+			s.Recovery = &RecoverySection{CheckpointSeconds: 300, CheckpointBytes: v}
+		},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := Scenario{Version: 2, Workflow: WorkflowSection{Name: "1deg"}, Fleet: &FleetSection{Processors: 16}}
+			set(&s, v)
+			_, _, err := s.Resolve()
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("%s = %v: err = %v, want an error naming %s", path, v, err, path)
+			}
+		}
+	}
+}
+
 // TestScenarioResolveZeroSections pins the sweep-critical property that
 // a section whose knobs are all zero resolves exactly like an absent
 // one: an axis sweeping spot.rate_per_hour or
@@ -280,4 +321,58 @@ func TestDecodeStrictRejectsUnknownFields(t *testing.T) {
 	if err := DecodeStrict(strings.NewReader(`{"version": 2, "workflow": {"name": "1deg"}}`), &s); err != nil {
 		t.Errorf("clean document rejected: %v", err)
 	}
+}
+
+// TestProcessorCountCostsNoMemory pins that fleet.processors sizes no
+// state up front: a provisioned 1-degree run resolved from a scenario
+// allocates the same objects and bytes per run at 2^20, 2^31 and 2^40
+// processors as at the workflow's full parallelism, so no bound on the
+// count is needed to keep a valid scenario from exhausting the daemon.
+func TestProcessorCountCostsNoMemory(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("processor counts past 2^31 need a 64-bit int")
+	}
+	spec, _, err := Scenario{Version: 2, Workflow: WorkflowSection{Name: "1deg"}}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, err := montage.Cached(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	perRun := func(procs int) (allocs, bytes float64) {
+		_, plan, err := Scenario{
+			Version:  2,
+			Workflow: WorkflowSection{Name: "1deg"},
+			Fleet:    &FleetSection{Processors: procs},
+			Pricing:  &PricingSection{Billing: "provisioned"},
+		}.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			if _, err := core.RunContext(context.Background(), wf, plan); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(runs, run)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	wantAllocs, wantBytes := perRun(wf.MaxParallelism())
+	for _, shift := range []int{20, 31, 40} {
+		procs := 1 << shift
+		if allocs, bytes := perRun(procs); allocs != wantAllocs || bytes != wantBytes {
+			t.Errorf("2^%d processors: %v allocs and %v B per run, want %v and %v as at full parallelism (%d)",
+				shift, allocs, bytes, wantAllocs, wantBytes, wf.MaxParallelism())
+		}
+	}
+	t.Logf("%v allocs and %v B per run at every processor count", wantAllocs, wantBytes)
 }
