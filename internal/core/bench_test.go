@@ -8,10 +8,11 @@ import (
 )
 
 // BenchmarkRunSpot4Deg measures one 3,027-task spot run end to end
-// through RunContext: the per-instance revocation schedule of a
-// 128-processor fleet reclaimed at 1/h per instance is materialized
-// over the whole spot horizon, then simulated with 300 s checkpoints
-// costing 5 s each.
+// through RunContext: a 128-processor fleet reclaimed at 1/h per
+// instance, simulated with 300 s checkpoints costing 5 s each.  The run
+// samples its per-instance reclaims window by window only as far as its
+// 1.8 h makespan reaches into the 176.6 h spot horizon: 327 reclaims in
+// two windows, of the whole schedule's 19,538.
 func BenchmarkRunSpot4Deg(b *testing.B) {
 	wf, err := montage.Generate(montage.FourDegree())
 	if err != nil {

@@ -104,9 +104,10 @@ type Plan struct {
 // SpotPlan is a declarative spot scenario: instead of handing the plan
 // a concrete revocation schedule, the caller names the market (reclaim
 // rate, warning, downtime, seed, discount) and the fleet split, and the
-// runner materializes per-instance Preemption events once the pool size
-// is known.  Being a flat value struct, it travels on the wire and
-// feeds the canonical cache key directly.
+// runner samples per-instance reclaims once the pool size is known, as
+// far into the spot horizon as the run reaches.  Being a flat value
+// struct, it travels on the wire and feeds the canonical cache key
+// directly.
 type SpotPlan struct {
 	// RatePerHour is each spot instance's Poisson reclaim intensity;
 	// 0 disables revocations.
@@ -161,7 +162,9 @@ func (s SpotPlan) market() cost.Spot {
 // hour of slack.  Runs stretched beyond it by rework simply see no
 // reclaims in the deep tail; what matters is that the bound is a
 // deterministic function of the workflow and plan, so equal requests
-// sample equal schedules and stay cacheable.
+// sample equal schedules and stay cacheable.  The schedule's size
+// bound and the downtime's resolution are checked over the whole
+// horizon, although a run samples only as far as its makespan.
 func spotHorizon(wf *dag.Workflow, bw units.Bandwidth) units.Duration {
 	transfer := units.Duration(float64(wf.TotalFileBytes()) / bw.BytesPerSecond())
 	return 2*(wf.TotalRuntime()+transfer) + units.Duration(units.SecondsPerHour)
@@ -264,22 +267,21 @@ func RunContext(ctx context.Context, wf *dag.Workflow, plan Plan) (Result, error
 	if onDemand < 0 || onDemand > procs {
 		return Result{}, fmt.Errorf("core: pool-sizing policy %q sized the reliable sub-pool to %d of %d processors", p.Policies.Sizing, onDemand, procs)
 	}
-	preemptions := p.Preemptions
-	if p.Spot.Enabled() && p.Spot.RatePerHour > 0 {
-		// Materialize the declarative scenario into per-instance reclaim
-		// events now that the pool size is known.  Only the revocable
-		// spot sub-pool is sampled.
-		spotProcs := procs - onDemand
-		if spotProcs < 1 {
+	var market exec.SpotMarket
+	if p.Spot.RatePerHour > 0 {
+		// The runner samples the declarative scenario's per-instance
+		// reclaims, one instance per processor of the revocable spot
+		// sub-pool, over the workflow's spot horizon.
+		if procs-onDemand < 1 {
 			return Result{}, fmt.Errorf("core: spot plan leaves no revocable capacity in a %d-processor fleet with %d on demand", procs, onDemand)
 		}
-		sched, err := exec.SpotScheduleInstances(
-			spotHorizon(wf, p.Bandwidth), spotProcs,
-			p.Spot.RatePerHour, p.Spot.Warning, p.Spot.Downtime, p.Spot.Seed)
-		if err != nil {
-			return Result{}, err
+		market = exec.SpotMarket{
+			RatePerHour: p.Spot.RatePerHour,
+			Warning:     p.Spot.Warning,
+			Downtime:    p.Spot.Downtime,
+			Seed:        p.Spot.Seed,
+			Horizon:     spotHorizon(wf, p.Bandwidth),
 		}
-		preemptions = sched
 	}
 	m, err := exec.RunContext(ctx, wf, exec.Config{
 		Mode:               p.Mode,
@@ -291,11 +293,11 @@ func RunContext(ctx context.Context, wf *dag.Workflow, plan Plan) (Result, error
 		Policy:             p.Policy,
 		FailureProb:        p.FailureProb,
 		FailureSeed:        p.FailureSeed,
-		Preemptions:        preemptions,
+		Preemptions:        p.Preemptions,
 		Recovery:           p.Recovery,
 		OnDemandProcessors: onDemand,
 		Policies:           p.Policies,
-		SpotRatePerHour:    p.Spot.RatePerHour,
+		Spot:               market,
 		Recorder:           p.Recorder,
 	})
 	if err != nil {

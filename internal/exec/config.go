@@ -59,7 +59,7 @@ type Config struct {
 	// revokes processors at a scheduled instant, killing the most
 	// recently started tasks when idle slots do not cover it.  Events
 	// must be sorted by reclaim time; empty reproduces the paper's
-	// reliable capacity.
+	// reliable capacity.  Mutually exclusive with a sampled Spot market.
 	Preemptions []Preemption
 	// OnDemandProcessors carves a reliable on-demand sub-pool out of the
 	// processor pool: a mixed fleet.  These processors can never be
@@ -82,11 +82,13 @@ type Config struct {
 	// pre-policy run byte for byte.
 	Policies policy.Bundle
 
-	// SpotRatePerHour is the per-instance reclaim intensity the
-	// Preemptions were sampled at, advisory context for risk-aware
-	// checkpoint triggers (the schedule itself already carries the
-	// events).  Zero means reliable capacity.
-	SpotRatePerHour float64
+	// Spot, when its RatePerHour is positive, is the market the run
+	// samples the spot sub-pool's reclaims from, one instance per spot
+	// processor: the events of SpotScheduleInstances over Spot.Horizon,
+	// drawn window by window as the clock reaches them.  Its rate is
+	// also the context of risk-aware checkpoint triggers.  The zero
+	// value samples nothing.
+	Spot SpotMarket
 
 	// Recorder, when non-nil, captures the run's flight-recorder
 	// timeline: every dispatch, start, finish, retry, reclaim, victim

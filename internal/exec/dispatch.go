@@ -145,7 +145,7 @@ func (r *runner) effectiveRecovery(rem units.Duration, onReliable bool) Recovery
 		Overhead:        rec.Overhead,
 		Remaining:       rem,
 		OnReliable:      onReliable,
-		SpotRatePerHour: r.cfg.SpotRatePerHour,
+		SpotRatePerHour: r.cfg.Spot.RatePerHour,
 	})
 	if iv > 0 {
 		rec.Interval = iv

@@ -83,8 +83,12 @@ func RunContext(ctx context.Context, wf *dag.Workflow, cfg Config) (Metrics, err
 	if err := cfg.Recovery.validate(); err != nil {
 		return Metrics{}, err
 	}
-	if !(cfg.SpotRatePerHour >= 0) {
-		return Metrics{}, fmt.Errorf("exec: spot rate %v/hour is negative or NaN", cfg.SpotRatePerHour)
+	if !(cfg.Spot.RatePerHour >= 0) {
+		return Metrics{}, fmt.Errorf("exec: spot rate %v/hour is negative or NaN", cfg.Spot.RatePerHour)
+	}
+	sampled := cfg.Spot.RatePerHour > 0
+	if sampled && len(cfg.Preemptions) > 0 {
+		return Metrics{}, fmt.Errorf("exec: config sets both a sampled spot market and explicit Preemptions; use one")
 	}
 	resolved, err := cfg.Policies.Resolve()
 	if err != nil {
@@ -100,8 +104,13 @@ func RunContext(ctx context.Context, wf *dag.Workflow, cfg Config) (Metrics, err
 	if cfg.OnDemandProcessors > procs {
 		return Metrics{}, fmt.Errorf("exec: on-demand sub-pool %d exceeds the %d-processor fleet", cfg.OnDemandProcessors, procs)
 	}
-	if len(cfg.Preemptions) > 0 && cfg.OnDemandProcessors == procs {
+	if (len(cfg.Preemptions) > 0 || sampled) && cfg.OnDemandProcessors == procs {
 		return Metrics{}, fmt.Errorf("exec: preemptions scheduled but the %d-processor fleet has no spot capacity", procs)
+	}
+	if sampled {
+		if err := cfg.Spot.validate(procs - cfg.OnDemandProcessors); err != nil {
+			return Metrics{}, err
+		}
 	}
 	if err := validatePreemptions(cfg.Preemptions, procs, cfg.OnDemandProcessors); err != nil {
 		return Metrics{}, err
@@ -122,6 +131,7 @@ func RunContext(ctx context.Context, wf *dag.Workflow, cfg Config) (Metrics, err
 		wf:       wf,
 		cfg:      cfg,
 		policies: resolved,
+		reclaims: cfg.Preemptions,
 		link:     link,
 		cluster:  cluster,
 		trace:    cfg.Recorder,
@@ -178,6 +188,11 @@ type runner struct {
 	seq     uint64
 	queue   eventQueue
 	stopped bool
+	// The reclaim stream: cfg.Preemptions, or the window of a sampled
+	// spot market's schedule that holds every reclaim before windowEnd
+	// (loop.go).
+	reclaims  []Preemption
+	windowEnd units.Duration
 
 	storage  *cloudsim.Storage
 	link     *cloudsim.Link
@@ -301,11 +316,9 @@ func (r *runner) run(ctx context.Context) (Metrics, error) {
 
 	// Everything waits for the virtual machines to boot; the provisioned
 	// pool is billed from launch, so the delay lands inside ExecTime.
-	r.post(r.cfg.VMStartup, evStart, -1, 0)
 	// Capacity reclaims fire on the absolute simulation clock, like
-	// outages.  The loop streams them from cfg.Preemptions, ranked as if
-	// queued here, one sequence number each.
-	r.seq += uint64(len(r.cfg.Preemptions))
+	// outages: the loop streams them, ranked right after this event.
+	r.post(r.cfg.VMStartup, evStart, -1, 0)
 
 	if err := r.loop(ctx); err != nil {
 		return Metrics{}, fmt.Errorf("exec: %w", err)
@@ -344,10 +357,10 @@ func (r *runner) run(ctx context.Context) (Metrics, error) {
 		Schedule:                    r.schedule,
 	}
 	m.Utilization = utilization(m.CPUSeconds, m.CapacityProcSeconds)
-	// Without failures, preemptions or checkpoint overhead, the consumed
-	// CPU must equal the workflow's total runtime exactly; a mismatch
-	// means a double-booked processor.
-	if r.failRNG == nil && len(r.cfg.Preemptions) == 0 && !r.cfg.Recovery.Checkpoint {
+	// Without failures, scheduled reclaims or checkpoint overhead, the
+	// consumed CPU must equal the workflow's total runtime exactly; a
+	// mismatch means a double-booked processor.
+	if r.failRNG == nil && !r.cfg.Recovery.Checkpoint && !r.reclaimsScheduled() {
 		want := r.wf.TotalRuntime().Seconds()
 		if diff := m.CPUSeconds - want; diff > 1e-6*want+1e-6 || diff < -(1e-6*want+1e-6) {
 			return Metrics{}, fmt.Errorf("exec: CPU accounting mismatch: cluster %v vs workflow %v", m.CPUSeconds, want)

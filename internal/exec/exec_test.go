@@ -255,7 +255,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(w, Config{Mode: datamgmt.Regular, Processors: -1}); err == nil {
 		t.Error("negative processors accepted")
 	}
-	if _, err := Run(w, Config{Mode: datamgmt.Regular, SpotRatePerHour: math.NaN()}); err == nil {
+	if _, err := Run(w, Config{Mode: datamgmt.Regular, Spot: SpotMarket{RatePerHour: math.NaN()}}); err == nil {
 		t.Error("NaN spot rate accepted")
 	}
 	unfinished := dag.New("x")

@@ -6,12 +6,21 @@ package exec
 // Events are small typed values -- what happens (kind), to which task,
 // with one word of payload -- kept in a value min-heap ordered by
 // (time, sequence number).  Events scheduled for the same instant fire
-// in scheduling order, which makes every run bit-reproducible.  Spot
-// reclaims are not queued at all: Config.Preemptions is already sorted,
-// so the loop reads it through a cursor merged with the heap, ranking
-// reclaim i as if it had been queued right after the start event (seq
-// i+2).  The loop stops as soon as the run is over: every later event
-// is a no-op.
+// in scheduling order, which makes every run bit-reproducible.  The
+// loop stops as soon as the run is over: every later event is a no-op.
+//
+// Spot reclaims are not queued at all.  They arrive sorted, so the loop
+// reads them through a cursor merged with the heap.  A reclaim ranks
+// right after the start event (seq 1) and before every other event at
+// its instant, as if all of them had been queued, in order, right after
+// the start.  A sampled spot market (Config.Spot) is read through a
+// window: the loop samples every reclaim before one hour, and doubles
+// the window, capped at the horizon, whenever it has fired every
+// sampled reclaim and the heap's next event (if any) is at or past the
+// window's end.  An instance's draws do not depend on where the horizon
+// cuts its stream, so each window is a prefix of the whole schedule,
+// and the run fires exactly the reclaims it would fire from the whole
+// schedule while sampling only about as far as its makespan.
 
 import (
 	"context"
@@ -113,15 +122,18 @@ func (r *runner) post(at units.Duration, kind evKind, task dag.TaskID, aux uint3
 // that the poll never shows up in profiles.
 const cancelCheckInterval = 64
 
+// firstWindow is the end of a sampled spot market's first reclaim
+// window; each extension doubles it.
+const firstWindow = units.Duration(units.SecondsPerHour)
+
 // loop fires events in (time, seq) order, merging the reclaim stream
 // with the heap, until the run is over, a handler fails, or nothing is
 // left.  Once ctx is canceled it returns ctx's error with the clock
 // frozen at the abort point.  It fires every simulated event of every
-// run, so its body must not allocate.
+// run, so its body must not allocate; only a window extension does.
 //
 //repro:hot
 func (r *runner) loop(ctx context.Context) error {
-	pre := r.cfg.Preemptions
 	next := 0 // the first reclaim not yet fired
 	for n := 0; !r.stopped; n++ {
 		if n%cancelCheckInterval == 0 {
@@ -129,12 +141,19 @@ func (r *runner) loop(ctx context.Context) error {
 				return err
 			}
 		}
-		if next < len(pre) {
-			// Reclaim next was queued right after the start event: seq
-			// next+2 ranks it against heap events at the same instant.
-			p := pre[next]
+		// Every reclaim not yet sampled is at or past windowEnd, so the
+		// window must grow before anything there may fire.
+		if next == len(r.reclaims) && r.windowEnd < r.cfg.Spot.Horizon &&
+			(len(r.queue) == 0 || r.queue[0].at >= r.windowEnd) {
+			if err := r.extendWindow(); err != nil {
+				return err
+			}
+			continue
+		}
+		if next < len(r.reclaims) {
+			p := r.reclaims[next]
 			if len(r.queue) == 0 || p.Reclaim < r.queue[0].at ||
-				(p.Reclaim == r.queue[0].at && uint64(next)+2 < r.queue[0].seq) {
+				(p.Reclaim == r.queue[0].at && r.queue[0].seq > 1) {
 				next++
 				r.now = p.Reclaim
 				r.reclaim(p, r.now)
@@ -148,6 +167,42 @@ func (r *runner) loop(ctx context.Context) error {
 		r.fire(ev)
 	}
 	return nil
+}
+
+// extendWindow doubles the sampled reclaim window, capped at the
+// horizon, and re-samples it.  The new window's sorted schedule starts
+// with the old one, so the loop's cursor stays valid.
+func (r *runner) extendWindow() error {
+	m := r.cfg.Spot
+	r.windowEnd = min(max(2*r.windowEnd, firstWindow), m.Horizon)
+	procs := r.cluster.Provisioned() - r.cluster.Reliable()
+	w, err := SpotScheduleInstances(r.windowEnd, procs, m.RatePerHour, m.Warning, m.Downtime, m.Seed)
+	if err != nil {
+		return err
+	}
+	if sampleHook != nil {
+		sampleHook(len(w))
+	}
+	r.reclaims = w
+	return nil
+}
+
+// sampleHook, when a test sets it, is called with the size of every
+// reclaim window a run samples.  Runs may call it concurrently.
+var sampleHook func(reclaims int)
+
+// reclaimsScheduled reports whether the run's whole reclaim schedule is
+// non-empty, whatever part of it the run sampled: the exact-CPU
+// accounting in run holds only for runs without one.
+func (r *runner) reclaimsScheduled() bool {
+	switch m := r.cfg.Spot; {
+	case len(r.reclaims) > 0:
+		return true
+	case m.RatePerHour <= 0 || r.windowEnd >= m.Horizon:
+		return false
+	default:
+		return m.anyReclaim(r.cluster.Provisioned() - r.cluster.Reliable())
+	}
 }
 
 // fire runs one event's handler.

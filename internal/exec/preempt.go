@@ -370,6 +370,66 @@ func (r *runner) preemptTask(id dag.TaskID, now units.Duration, warning units.Du
 	r.enqueueReady(id)
 }
 
+// SpotMarket is a per-instance spot market for the runner to sample
+// reclaims from (Config.Spot): each spot instance is reclaimed as its
+// own Poisson process at RatePerHour over [0, Horizon), exactly as
+// SpotScheduleInstances samples it, with warnings in [Warning/2,
+// Warning] and the capacity back Downtime later.  A zero RatePerHour
+// samples nothing.
+type SpotMarket struct {
+	RatePerHour float64
+	Warning     units.Duration
+	Downtime    units.Duration
+	Seed        int64
+	Horizon     units.Duration
+}
+
+// validate checks the market for a spot sub-pool of procs instances
+// over its whole horizon, before the run samples any of it: the
+// sampler's arguments, the schedule's worst-case size, and the
+// downtime's resolution.  A run that samples window by window must
+// refuse exactly the plans the whole schedule would, whatever its
+// makespan.
+func (m SpotMarket) validate(procs int) error {
+	if err := validateSpotArgs(m.Horizon, procs, m.RatePerHour, m.Warning, m.Downtime); err != nil {
+		return err
+	}
+	if _, err := spotScheduleCap(m.Horizon, procs, m.RatePerHour, m.Downtime); err != nil {
+		return err
+	}
+	// A reclaim at t restores at t+Downtime, which must be a later
+	// instant.  Below the horizon the float spacing is widest at its two
+	// largest values, and one of them has an even mantissa, so testing
+	// both covers the round-half-to-even tie.
+	t := math.Nextafter(float64(m.Horizon), 0)
+	u := math.Nextafter(t, 0)
+	if t+float64(m.Downtime) == t || u+float64(m.Downtime) == u {
+		return fmt.Errorf("%w: a reclaim near the %.1f h horizon would restore at its own instant, because the clock's resolution there is %.3g s; raise spot.downtime_seconds (%g s) above half of it",
+			ErrSpotDowntimeTooShort, m.Horizon.Hours(), math.Nextafter(t, math.Inf(1))-t, float64(m.Downtime))
+	}
+	return nil
+}
+
+// ErrSpotDowntimeTooShort reports a spot downtime below the simulation
+// clock's resolution near the horizon: a reclaim there would restore at
+// its own instant.
+var ErrSpotDowntimeTooShort = errors.New("exec: spot downtime below the clock's resolution")
+
+// anyReclaim reports whether the market's whole schedule over procs
+// instances is non-empty, that is whether some instance's first reclaim
+// falls before the horizon.  It costs one draw per instance.
+func (m SpotMarket) anyReclaim(procs int) bool {
+	var src lazySource
+	rng := rand.New(&src)
+	for i := 0; i < procs; i++ {
+		rng.Seed(instanceSeed(m.Seed, i))
+		if reclaimGap(rng, m.RatePerHour) < m.Horizon {
+			return true
+		}
+	}
+	return false
+}
+
 // validateSpotArgs checks the shared arguments of the spot-schedule
 // samplers.  Every check fails on NaN, and only the rate may be
 // infinite: a NaN or infinite clock would never reach the horizon.
@@ -390,16 +450,45 @@ func validateSpotArgs(horizon units.Duration, procs int, ratePerHour float64, wa
 }
 
 // maxSpotReclaims bounds the worst-case size of a per-instance spot
-// schedule, which SpotScheduleInstances allocates (twice, for the
-// merge) before it draws: 2^20 reclaims of 32 bytes is 32 MiB.  Every
-// registry experiment and benchmark scenario stays below about 22,000,
-// so the bound only refuses schedules no run could use.
+// schedule over its whole horizon: 2^20 reclaims of 32 bytes is
+// 32 MiB, which SpotScheduleInstances sizes its output for before it
+// draws.  Every registry experiment and benchmark scenario stays below
+// about 22,000, so the bound only refuses schedules no run could use.
+// A run samples its schedule window by window, but is held to the same
+// bound over the whole horizon, so whether a plan is refused does not
+// depend on its makespan.
 const maxSpotReclaims = 1 << 20
 
 // ErrSpotScheduleTooLarge reports a spot plan whose per-instance
 // schedule could exceed maxSpotReclaims: too many spot instances, or a
 // reclaim rate or downtime that lets each one be reclaimed too often.
 var ErrSpotScheduleTooLarge = errors.New("exec: spot schedule too large")
+
+// spotScheduleCap returns how many reclaims an instance can draw over
+// the horizon: it expects about rate*hours, and downtime spaces them,
+// so it never draws more than horizon/down+1 whatever the rate.  It
+// refuses a schedule whose worst case over procs instances passes
+// maxSpotReclaims.  The product is taken in floating point, where no
+// input can overflow it.
+func spotScheduleCap(horizon units.Duration, procs int, ratePerHour float64, down units.Duration) (float64, error) {
+	perInstance := math.Min(ratePerHour*horizon.Hours(), float64(horizon/down)) + 1
+	if worst := float64(procs) * perInstance; worst > maxSpotReclaims {
+		return 0, fmt.Errorf("%w: %d spot instances could each be reclaimed up to %.3g times over the %.1f h horizon (rate %g/h, downtime %g s), %.3g in all against a bound of %d; lower the spot processor count or spot.rate_per_hour, or raise spot.downtime_seconds",
+			ErrSpotScheduleTooLarge, procs, perInstance, horizon.Hours(), ratePerHour, float64(down), worst, maxSpotReclaims)
+	}
+	return perInstance, nil
+}
+
+// instanceSeed is spot instance i's sub-seed: a SplitMix64-style
+// odd-constant stride decorrelates the instances, since adjacent raw
+// seeds would make rand.Source streams that are far too similar.
+func instanceSeed(seed int64, i int) int64 { return seed + int64(i)*-0x61c8864680b583eb }
+
+// reclaimGap draws the time from an instance's last restore (or the
+// start) to its next reclaim.
+func reclaimGap(rng *rand.Rand, ratePerHour float64) units.Duration {
+	return units.Duration(rng.ExpFloat64() / ratePerHour * units.SecondsPerHour)
+}
 
 // SpotScheduleInstances samples a deterministic per-instance spot
 // revocation schedule over a horizon: each of the procs spot instances
@@ -410,7 +499,10 @@ var ErrSpotScheduleTooLarge = errors.New("exec: spot schedule too large")
 // event.  The same seed always yields the same schedule (instances draw
 // from decorrelated sub-seeds), so per-instance spot runs stay
 // reproducible and cacheable; ratePerHour == 0 returns an empty
-// schedule.
+// schedule.  An instance's draws do not depend on the horizon, so the
+// schedule over a shorter horizon is exactly a prefix of this one: the
+// runner samples a spot market's reclaims through this function, window
+// by window.
 func SpotScheduleInstances(horizon units.Duration, procs int, ratePerHour float64, warning, down units.Duration, seed int64) ([]Preemption, error) {
 	if err := validateSpotArgs(horizon, procs, ratePerHour, warning, down); err != nil {
 		return nil, err
@@ -418,14 +510,9 @@ func SpotScheduleInstances(horizon units.Duration, procs int, ratePerHour float6
 	if ratePerHour == 0 {
 		return nil, nil
 	}
-	// Capacity for the whole schedule: an instance expects about
-	// rate*hours reclaims, and downtime spaces them, so it never draws
-	// more than horizon/down+1 whatever the rate.  The product is taken
-	// in floating point, where no input can overflow it.
-	perInstance := math.Min(ratePerHour*horizon.Hours(), float64(horizon/down)) + 1
-	if worst := float64(procs) * perInstance; worst > maxSpotReclaims {
-		return nil, fmt.Errorf("%w: %d spot instances could each be reclaimed up to %.3g times over the %.1f h horizon (rate %g/h, downtime %g s), %.3g in all against a bound of %d; lower the spot processor count or spot.rate_per_hour, or raise spot.downtime_seconds",
-			ErrSpotScheduleTooLarge, procs, perInstance, horizon.Hours(), ratePerHour, float64(down), worst, maxSpotReclaims)
+	perInstance, err := spotScheduleCap(horizon, procs, ratePerHour, down)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]Preemption, 0, procs*int(perInstance))
 	runs := make([]int, procs+1) // instance i's reclaims are out[runs[i]:runs[i+1]]
@@ -437,13 +524,10 @@ func SpotScheduleInstances(horizon units.Duration, procs int, ratePerHour float6
 	var src lazySource
 	rng := rand.New(&src)
 	for i := 0; i < procs; i++ {
-		// Decorrelate instances with a SplitMix64-style odd-constant
-		// stride; adjacent raw seeds would make rand.Source streams that
-		// are far too similar.
-		rng.Seed(seed + int64(i)*-0x61c8864680b583eb)
+		rng.Seed(instanceSeed(seed, i))
 		var t units.Duration
 		for {
-			t += units.Duration(rng.ExpFloat64() / ratePerHour * units.SecondsPerHour)
+			t += reclaimGap(rng, ratePerHour)
 			if t >= horizon {
 				break
 			}

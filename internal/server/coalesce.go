@@ -92,11 +92,12 @@ func (g *flightGroup) run(ctx context.Context, fn func(ctx context.Context) ([]b
 	return fn(ctx)
 }
 
-// recoverPanic, deferred by a function that runs on a goroutine the
-// HTTP stack does not guard (a flight, a sweep point), turns a panic in
-// that function into its error and counts it in panics.  The error
-// answers 500, or a mid-stream error envelope, and since the panic
+// recoverPanic, deferred by a flight, which runs on a goroutine the
+// HTTP stack does not guard, turns a panic in it into its error and
+// counts it in panics.  The error answers 500, and since the panic
 // unwound past every cache and store write, nothing keeps its result.
+// Sweep workers recover their items' panics themselves
+// (sweep.PanicError).
 func recoverPanic(err *error, panics *atomic.Uint64) {
 	if p := recover(); p != nil {
 		panics.Add(1)

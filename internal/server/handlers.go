@@ -16,6 +16,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/store"
+	"repro/internal/sweep"
 	"repro/internal/units"
 	"repro/wire"
 )
@@ -38,7 +39,7 @@ type errorDoc struct {
 }
 
 func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, err error) {
-	s.metrics.errors.Add(1)
+	s.countFailure(err)
 	// A client that hung up gets nothing; don't count its cancellation
 	// as a server error status.
 	if errors.Is(err, context.Canceled) && r.Context().Err() != nil {
@@ -47,10 +48,22 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, status int, err er
 	writeJSON(w, status, errorDoc{Error: err.Error()})
 }
 
+// countFailure counts a failed request: fail calls it, and so does a
+// stream that fails after its first row.  A panic that a sweep worker
+// recovered into err (a /v2/sweep point, an experiment, a tournament
+// entry, an advisor probe) is counted too; a flight counts its own.
+func (s *Server) countFailure(err error) {
+	s.metrics.errors.Add(1)
+	var pe *sweep.PanicError
+	if errors.As(err, &pe) {
+		s.metrics.panics.Add(1)
+	}
+}
+
 // statusFor maps a handler error to an HTTP status.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, exec.ErrSpotScheduleTooLarge):
+	case errors.Is(err, exec.ErrSpotScheduleTooLarge), errors.Is(err, exec.ErrSpotDowntimeTooShort):
 		return http.StatusBadRequest
 	case errors.Is(err, errBusy):
 		return http.StatusServiceUnavailable

@@ -193,10 +193,7 @@ func (s *Server) handleSweepV2(w http.ResponseWriter, r *http.Request) {
 	// bounded server cache: axes over workflow.* make specs vary per
 	// point, and each distinct spec pins a multi-thousand-task DAG.
 	err = sweep.Stream(r.Context(), 0, grid,
-		func(ctx context.Context, i int, p wire.ResolvedPoint) (doc wire.RunDocumentV2, err error) {
-			// Points run on the sweep engine's workers, where a panic
-			// would exit the process.
-			defer recoverPanic(&err, &s.metrics.panics)
+		func(ctx context.Context, i int, p wire.ResolvedPoint) (wire.RunDocumentV2, error) {
 			if s.testHookSweepPoint != nil {
 				if err := s.testHookSweepPoint(i); err != nil {
 					return wire.RunDocumentV2{}, err
@@ -222,7 +219,7 @@ func (s *Server) handleSweepV2(w http.ResponseWriter, r *http.Request) {
 		}
 		// Mid-stream the status line is gone; emit the terminal error
 		// envelope instead (unless the client already hung up).
-		s.metrics.errors.Add(1)
+		s.countFailure(err)
 		if r.Context().Err() == nil {
 			enc.Encode(wire.SweepEnvelope{Error: err.Error()}) //nolint:errcheck
 		}
@@ -476,7 +473,7 @@ func (s *Server) handleTournamentV2(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, r, statusFor(err), err)
 			return
 		}
-		s.metrics.errors.Add(1)
+		s.countFailure(err)
 		if r.Context().Err() == nil {
 			enc.Encode(wire.TournamentEnvelope{Error: err.Error()}) //nolint:errcheck
 		}

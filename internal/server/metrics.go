@@ -45,7 +45,7 @@ type metrics struct {
 
 	storeDropped atomic.Uint64 // store writes refused by a full or closed queue
 	storeQueued  atomic.Int64  // store writes queued and not yet persisted
-	panics       atomic.Uint64 // panics recovered in flights and sweep points
+	panics       atomic.Uint64 // panics recovered in flights and sweep workers
 
 	inflight atomic.Int64 // requests holding a worker slot
 	queued   atomic.Int64 // requests waiting for a worker slot

@@ -302,6 +302,29 @@ func TestSpotScheduleBoundIsBadRequest(t *testing.T) {
 	}
 }
 
+// TestSubResolutionDowntimeIsBadRequest: a spot downtime below half the
+// clock's spacing near the horizon would let a late reclaim restore at
+// its own instant.  It is refused before the run as the client's error,
+// from /v2/run and as a /v2/sweep point, whatever the draws, and the
+// daemon keeps serving.
+func TestSubResolutionDowntimeIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const body = `{"version":2,"workflow":{"name":"1deg"},"fleet":{"processors":16},` +
+		`"spot":{"rate_per_hour":1,"downtime_seconds":1e-12}}`
+	resp, got := postJSON(t, ts.URL+"/v2/run", body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), "spot.downtime_seconds") {
+		t.Errorf("/v2/run: status %d, body %s; want a 400 naming spot.downtime_seconds", resp.StatusCode, got)
+	}
+	sweep := `{"scenario":` + body + `,"axes":[{"axis":"spot.downtime_seconds","values":[1e-11,1e-12]}]}`
+	_, envs := readSweep(t, ts, sweep)
+	if len(envs) != 2 || envs[0].Row == nil || !strings.Contains(envs[1].Error, "spot.downtime_seconds") {
+		t.Errorf("/v2/sweep: got %+v; want the 1e-11 s row, then an error envelope naming spot.downtime_seconds", envs)
+	}
+	if resp, got := postJSON(t, ts.URL+"/v2/run", baseline); resp.StatusCode != http.StatusOK {
+		t.Errorf("next run: status %d: %s", resp.StatusCode, got)
+	}
+}
+
 // TestRunV2PanicIsServerError: a panic inside a simulation answers 500
 // and is counted; nothing of it is cached, so the next request for the
 // same key simulates again and succeeds.

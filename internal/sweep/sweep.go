@@ -15,7 +15,9 @@
 //     lower-indexed failure can claim the spot; items above it are
 //     skipped rather than simulated and discarded);
 //   - cancellation of the caller's context wins over item errors, so an
-//     interrupted sweep reports context.Canceled, not a half-run item.
+//     interrupted sweep reports context.Canceled, not a half-run item;
+//   - an item function that panics fails its item with a *PanicError
+//     instead of exiting the process from a worker goroutine.
 package sweep
 
 import (
@@ -123,6 +125,31 @@ collect:
 	return sweepErr
 }
 
+// PanicError is the error of an item whose function panicked.  The
+// sweep recovers the panic on the worker goroutine, where it would
+// otherwise exit the process, and fails that item with it, so the
+// lowest-index rule still decides which error the sweep returns.
+type PanicError struct {
+	// Index is the item's index in the grid.
+	Index int
+	// Value is what the function panicked with.
+	Value any
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sweep: item %d panicked: %v", e.Index, e.Value)
+}
+
+// call runs fn on one item, recovering a panic into the item's error.
+func call[I, R any](ctx context.Context, fn func(ctx context.Context, index int, item I) (R, error), i int, item I) (r R, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Index: i, Value: p}
+		}
+	}()
+	return fn(ctx, i, item)
+}
+
 // runWorker is the per-item loop each pool goroutine runs: pull the
 // next index, simulate it (or skip it if a lower-indexed failure
 // already decides the sweep's error), and close the item's done
@@ -147,7 +174,7 @@ func runWorker[I, R any](ictx context.Context, next, minFailed *atomic.Int64, it
 			close(done[i])
 			continue
 		}
-		results[i], errs[i] = fn(ictx, i, items[i])
+		results[i], errs[i] = call(ictx, fn, i, items[i])
 		if errs[i] != nil {
 			for {
 				cur := minFailed.Load()

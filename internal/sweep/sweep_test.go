@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrderStable(t *testing.T) {
@@ -174,5 +176,73 @@ func TestMapCancellationBeatsItemError(t *testing.T) {
 	// ...and the caller sees the cancellation, not the item error.
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
+	}
+}
+
+// TestPanickingItemFailsTheSweep: a panic in an item function fails
+// that item with a *PanicError carrying the panic value, from Map and
+// from Stream, instead of exiting the process, and every worker
+// goroutine is gone once the sweep returns.
+func TestPanickingItemFailsTheSweep(t *testing.T) {
+	items := make([]int, 32)
+	for i := range items {
+		items[i] = i
+	}
+	fn := func(_ context.Context, _ int, item int) (int, error) {
+		if item == 5 {
+			panic("boom at 5")
+		}
+		return item, nil
+	}
+	before := runtime.NumGoroutine()
+	_, mapErr := Map(context.Background(), 4, items, fn)
+	streamErr := Stream(context.Background(), 4, items, fn, func(int, int) error { return nil })
+	for name, err := range map[string]error{"Map": mapErr, "Stream": streamErr} {
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Index != 5 || pe.Value != "boom at 5" {
+			t.Errorf("%s: err = %v, want item 5's *PanicError", name, err)
+		}
+	}
+	// The workers have returned (Stream waits for them), but the
+	// runtime may take a moment to retire their goroutines.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 100 {
+			t.Fatalf("%d goroutines after the sweeps, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestPanicAtLowerIndexWins: a panic is an item error like any other,
+// so a panic at a lower index wins over a later item's failure, and a
+// failure at a lower index wins over a later panic.
+func TestPanicAtLowerIndexWins(t *testing.T) {
+	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for trial := 0; trial < 20; trial++ {
+		_, err := Map(context.Background(), 4, items, func(_ context.Context, _ int, item int) (int, error) {
+			switch item {
+			case 2:
+				panic("item 2 panicked")
+			case 6:
+				return 0, errors.New("item 6 failed")
+			}
+			return item, nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Index != 2 {
+			t.Fatalf("trial %d: got error %v, want item 2's panic", trial, err)
+		}
+		_, err = Map(context.Background(), 4, items, func(_ context.Context, _ int, item int) (int, error) {
+			switch item {
+			case 2:
+				return 0, errors.New("item 2 failed")
+			case 6:
+				panic("item 6 panicked")
+			}
+			return item, nil
+		})
+		if err == nil || err.Error() != "item 2 failed" {
+			t.Fatalf("trial %d: got error %v, want item 2's failure", trial, err)
+		}
 	}
 }

@@ -121,7 +121,7 @@ type (
 	// Spot is a spot-market model: discounted CPU, revocable capacity.
 	Spot = cost.Spot
 	// SpotPlan declaratively describes a seeded spot scenario (market
-	// knobs plus a mixed-fleet split); the runner materializes it into
+	// knobs plus a mixed-fleet split); the runner samples its
 	// per-instance reclaim events once the pool size is known.
 	SpotPlan = core.SpotPlan
 )
