@@ -3,8 +3,9 @@
 // streaming invariants the whole service architecture rests on, at
 // compile time instead of at runtime.
 //
-//	keycomplete   every scenario/plan field is canonical-key encoded
-//	              or carries a //repro:nokey exclusion annotation
+//	keycomplete   every scenario field is read while resolving the
+//	              (spec, plan) pair the cache key encodes, or carries
+//	              a //repro:nokey exclusion annotation
 //	determinism   no wall clock, no unseeded randomness, no
 //	              order-leaking map iteration in simulation packages
 //	              (single audited sites: //repro:nondet-ok <reason>)

@@ -51,6 +51,10 @@ func (b Billing) String() string {
 }
 
 // Plan is a complete execution-and-billing plan for a request.
+//
+// The JSON encoding of a canonical plan, beside its workflow spec, is
+// the result cache key (wire.CanonicalRunKeyV2): every exported field
+// is in the key unless its tag says json:"-", as only Recorder's does.
 type Plan struct {
 	// Mode is the data-management model (remote I/O, regular, cleanup).
 	Mode datamgmt.Mode
@@ -94,11 +98,10 @@ type Plan struct {
 	Policies policy.Bundle
 	// Recorder, when non-nil, captures the run's flight-recorder
 	// timeline (see package obs).  It is a pure observer: it never
-	// changes what the run computes, so it is deliberately excluded from
+	// changes what the run computes, so its json:"-" tag keeps it out of
 	// the canonical cache key -- a traced run and an untraced run of the
 	// same plan are the same result.
-	//repro:nokey recorder — pure observer; a traced and an untraced run of the same plan are the same result
-	Recorder *obs.Recorder
+	Recorder *obs.Recorder `json:"-"`
 }
 
 // SpotPlan is a declarative spot scenario: instead of handing the plan
@@ -185,8 +188,18 @@ func DefaultPlan() Plan {
 // Canonical returns the plan with its zero-value defaults filled in:
 // the form two plans must be reduced to before being compared or used
 // as a cache key, since a zero Bandwidth and an explicit 10 Mbps
-// describe the same run.
-func (p Plan) Canonical() Plan { return p.normalized() }
+// describe the same run.  Likewise an empty and a nil Outages or
+// Preemptions list, which JSON would print apart, become nil.
+func (p Plan) Canonical() Plan {
+	p = p.normalized()
+	if len(p.Outages) == 0 {
+		p.Outages = nil
+	}
+	if len(p.Preemptions) == 0 {
+		p.Preemptions = nil
+	}
+	return p
+}
 
 // normalized fills zero-value defaults.
 func (p Plan) normalized() Plan {

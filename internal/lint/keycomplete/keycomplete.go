@@ -1,37 +1,25 @@
-// Package keycomplete statically proves the cache-key coverage
-// invariant: every field that can change what a simulation computes is
-// either encoded into the canonical run key or carries an explicit
-// //repro:nokey exclusion annotation (see package nokey).
+// Package keycomplete statically proves that every knob of the wire
+// Scenario document can reach the canonical run key: every exported
+// field of the Scenario (all nested sections) must be read somewhere in
+// the call closure of Scenario.Resolve, the only path by which a wire
+// knob reaches the (spec, plan) pair the key encodes, or carry an
+// explicit //repro:nokey exclusion annotation (see package nokey).  The
+// trace flag is the canonical example of the latter: a pure observer,
+// deliberately outside the key.
 //
-// The check has two halves, both anchored on the key encoders --
-// the CanonicalRunKey* functions declared in the wire package's
-// key.go:
-//
-//   - Encoder coverage: starting from the encoder parameter types
-//     (montage.Spec and core.Plan in this repo), every exported field
-//     of every module-local struct reachable through encoded fields
-//     must itself be referenced somewhere in key.go or be annotated.
-//     A new Plan field that never reaches the encoder is named in the
-//     diagnostic -- unlike the retired reflect.NumField count guards,
-//     which could only say "a field was added somewhere".
-//
-//   - Resolution coverage: every exported field of the wire Scenario
-//     document (all nested sections) must be read somewhere in the
-//     call closure of Scenario.Resolve, the only path by which a wire
-//     knob can reach the (spec, plan) pair the key encodes -- or be
-//     annotated (the trace flag is the canonical example: a pure
-//     observer, deliberately outside the key).
+// The key itself needs no check: it is the JSON encoding of the
+// resolved pair, so every field of the spec and the plan is in it by
+// construction (wire's TestCanonicalRunKeyCoverage fails the two ways
+// JSON could skip one).
 //
 // Malformed or misplaced annotations are diagnostics too: a stale
-// exclusion is as dangerous as a missing encoding.
+// exclusion is as dangerous as a missing resolution.
 package keycomplete
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/lint"
 	"repro/internal/lint/nokey"
@@ -40,130 +28,46 @@ import (
 // Analyzer is the keycomplete check.
 var Analyzer = &lint.Analyzer{
 	Name: "keycomplete",
-	Doc:  "verify every scenario/plan field is canonical-key encoded or //repro:nokey annotated",
+	Doc:  "verify every scenario field is read while resolving the run it keys, or is //repro:nokey annotated",
 	Run:  run,
 }
 
-// keyFileName anchors the check: the analyzer activates on any package
-// whose key.go declares CanonicalRunKey* functions.
-const keyFileName = "key.go"
-
+// run activates on any package declaring a struct type Scenario with a
+// Resolve method.
 func run(pass *lint.Pass) error {
-	keyFile := findKeyFile(pass)
-	if keyFile == nil {
+	obj, ok := pass.Pkg.Scope().Lookup("Scenario").(*types.TypeName)
+	if !ok {
 		return nil
 	}
-	encoders := encoderDecls(keyFile)
-	if len(encoders) == 0 {
+	scen, ok := obj.Type().(*types.Named)
+	if !ok || !isStruct(scen) {
 		return nil
 	}
-	root, modPath, err := lint.ModuleInfo(pass.Dir)
-	if err != nil {
-		return err
+	resolve := method(scen, "Resolve")
+	if resolve == nil {
+		return nil
 	}
-	c := &checker{
-		pass:       pass,
-		modRoot:    root,
-		modPath:    modPath,
-		referenced: map[*types.Var]bool{},
-		anns:       map[string]*nokey.Set{},
-		visited:    map[*types.Named]bool{},
+	c := &checker{pass: pass, anns: nokey.ParseFiles(pass.Files), seen: map[*types.Named]bool{}}
+	for _, p := range c.anns.Problems() {
+		pass.Reportf(p.Pos, "%s", p.Message)
 	}
-
-	// Every field selection anywhere in key.go counts as "encoded".
-	ast.Inspect(keyFile, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if sel := pass.Info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal {
-				c.referenced[sel.Obj().(*types.Var)] = true
-			}
-		case *ast.Ident:
-			if v, ok := pass.Info.Uses[n].(*types.Var); ok && v.IsField() {
-				c.referenced[v] = true
-			}
-		}
-		return true
-	})
-
-	for _, fd := range encoders {
-		fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-		if !ok {
-			continue
-		}
-		sig := fn.Type().(*types.Signature)
-		for i := 0; i < sig.Params().Len(); i++ {
-			if n := namedStruct(sig.Params().At(i).Type()); n != nil {
-				c.visitEncoded(n)
-			}
-		}
-	}
-
-	c.checkResolutionCoverage()
+	c.reads = c.resolutionReads(resolve)
+	c.visitResolved(scen)
 	return nil
 }
 
 // checker carries the traversal state of one keycomplete run.
 type checker struct {
-	pass       *lint.Pass
-	modRoot    string
-	modPath    string
-	referenced map[*types.Var]bool
-	anns       map[string]*nokey.Set // package path -> parsed annotations
-	visited    map[*types.Named]bool
+	pass  *lint.Pass
+	anns  *nokey.Set
+	reads map[*types.Var]bool // fields read on Resolve's call closure
+	seen  map[*types.Named]bool
 }
 
-// visitEncoded enforces encoder coverage on struct n and recurses
-// through the fields that are themselves encoded.
-func (c *checker) visitEncoded(n *types.Named) {
-	if c.visited[n] {
-		return
-	}
-	c.visited[n] = true
-	st, ok := n.Underlying().(*types.Struct)
-	if !ok {
-		return
-	}
-	pkg := n.Obj().Pkg()
-	if pkg == nil || !c.inModule(pkg.Path()) {
-		return
-	}
-	anns := c.annotations(pkg.Path())
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if !f.Exported() {
-			continue
-		}
-		if _, excluded := anns.Excluded(n.Obj().Name(), f.Name()); excluded {
-			continue // the exclusion covers the whole subtree
-		}
-		if !c.referenced[f] {
-			c.pass.Reportf(c.fieldPos(anns, n, f), "%s.%s.%s is not referenced by the canonical-key encoders in %s and has no //repro:nokey annotation; encode it or annotate the exclusion",
-				pkg.Name(), n.Obj().Name(), f.Name(), keyFileName)
-			continue
-		}
-		for _, nested := range reachableStructs(f.Type()) {
-			c.visitEncoded(nested)
-		}
-	}
-}
-
-// checkResolutionCoverage enforces that every exported Scenario field
-// is read on the Scenario.Resolve call closure or annotated.
-func (c *checker) checkResolutionCoverage() {
+// resolutionReads returns every field read on the same-package call
+// closure of resolve.
+func (c *checker) resolutionReads(resolve *types.Func) map[*types.Var]bool {
 	pass := c.pass
-	obj, ok := pass.Pkg.Scope().Lookup("Scenario").(*types.TypeName)
-	if !ok {
-		return
-	}
-	scen, ok := obj.Type().(*types.Named)
-	if !ok || !isStruct(scen) {
-		return
-	}
-	resolve := method(scen, "Resolve")
-	if resolve == nil {
-		return
-	}
-
 	decls := map[*types.Func]*ast.FuncDecl{}
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
@@ -194,35 +98,33 @@ func (c *checker) checkResolutionCoverage() {
 			}
 		}
 	}
-
-	anns := c.annotations(pass.Pkg.Path())
-	c.visitResolved(scen, reads, anns, map[*types.Named]bool{})
+	return reads
 }
 
 // visitResolved checks one wire struct's fields against the resolution
 // read set, recursing into same-package section structs.
-func (c *checker) visitResolved(n *types.Named, reads map[*types.Var]bool, anns *nokey.Set, seen map[*types.Named]bool) {
-	if seen[n] {
+func (c *checker) visitResolved(n *types.Named) {
+	if c.seen[n] {
 		return
 	}
-	seen[n] = true
+	c.seen[n] = true
 	st := n.Underlying().(*types.Struct)
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
 		if !f.Exported() {
 			continue
 		}
-		if _, excluded := anns.Excluded(n.Obj().Name(), f.Name()); excluded {
+		if _, excluded := c.anns.Excluded(n.Obj().Name(), f.Name()); excluded {
 			continue
 		}
-		if !reads[f] {
-			c.pass.Reportf(c.fieldPos(anns, n, f), "%s.%s.%s is never read while resolving %s (it cannot reach the canonical key) and has no //repro:nokey annotation; resolve it into the plan or annotate the exclusion",
+		if !c.reads[f] {
+			c.pass.Reportf(f.Pos(), "%s.%s.%s is never read while resolving %s (it cannot reach the canonical key) and has no //repro:nokey annotation; resolve it into the plan or annotate the exclusion",
 				n.Obj().Pkg().Name(), n.Obj().Name(), f.Name(), "Scenario")
 			continue
 		}
 		for _, nested := range reachableStructs(f.Type()) {
 			if nested.Obj().Pkg() == c.pass.Pkg {
-				c.visitResolved(nested, reads, anns, seen)
+				c.visitResolved(nested)
 			}
 		}
 	}
@@ -269,85 +171,6 @@ func (c *checker) callees(body *ast.BlockStmt) []*types.Func {
 		return true
 	})
 	return out
-}
-
-// annotations parses (and caches) the //repro:nokey annotations of one
-// module package, reporting malformed ones as diagnostics.
-func (c *checker) annotations(pkgPath string) *nokey.Set {
-	if s, ok := c.anns[pkgPath]; ok {
-		return s
-	}
-	var set *nokey.Set
-	if pkgPath == c.pass.Pkg.Path() {
-		set = nokey.ParseFiles(c.pass.Files)
-	} else if dir := lint.PkgDir(c.modRoot, c.modPath, pkgPath); dir != "" {
-		s, err := nokey.ParseDir(c.pass.Fset, dir)
-		if err != nil {
-			// Sources unavailable (vendored build?): fall back to an
-			// empty set; missing annotations then surface as missing
-			// encodings, which is the safe direction.
-			s = nokey.ParseFiles(nil)
-		}
-		set = s
-	} else {
-		set = nokey.ParseFiles(nil)
-	}
-	for _, p := range set.Problems() {
-		c.pass.Reportf(p.Pos, "%s", p.Message)
-	}
-	c.anns[pkgPath] = set
-	return set
-}
-
-// fieldPos prefers the syntactic declaration position (exact file and
-// column) over the export-data position for imported packages.
-func (c *checker) fieldPos(anns *nokey.Set, n *types.Named, f *types.Var) token.Pos {
-	if fi, ok := anns.FieldInfo(n.Obj().Name(), f.Name()); ok && fi.Pos.IsValid() {
-		return fi.Pos
-	}
-	return f.Pos()
-}
-
-func (c *checker) inModule(path string) bool {
-	return path == c.modPath || strings.HasPrefix(path, c.modPath+"/")
-}
-
-// findKeyFile returns the package file named key.go, if any.
-func findKeyFile(pass *lint.Pass) *ast.File {
-	for _, f := range pass.Files {
-		name := pass.Fset.Position(f.Pos()).Filename
-		if filepath.Base(name) == keyFileName {
-			return f
-		}
-	}
-	return nil
-}
-
-// encoderDecls returns key.go's CanonicalRunKey* function declarations.
-func encoderDecls(keyFile *ast.File) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, d := range keyFile.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "CanonicalRunKey") {
-			out = append(out, fd)
-		}
-	}
-	return out
-}
-
-// namedStruct unwraps pointers and returns t as a named struct type.
-func namedStruct(t types.Type) *types.Named {
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok || !isStruct(n) {
-		return nil
-	}
-	return n
 }
 
 func isStruct(n *types.Named) bool {

@@ -8,9 +8,9 @@ import (
 	"repro/internal/lint/linttest"
 )
 
-// TestFixture proves the acceptance criterion: a plan field omitted
-// from the encoders and a scenario field Resolve never reads are both
-// named, while annotated observers pass.
+// TestFixture proves the acceptance criterion: a scenario field
+// Resolve never reads is named, while a field read one call away from
+// Resolve and an annotated observer pass.
 func TestFixture(t *testing.T) {
 	linttest.Run(t, filepath.Join("testdata", "mod"), keycomplete.Analyzer)
 }

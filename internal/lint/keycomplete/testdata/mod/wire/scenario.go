@@ -2,7 +2,11 @@
 // one annotated observer, and one field Resolve never reads.
 package wire
 
-import "repro/internal/core"
+// Plan is the fixture's resolved run, whose encoding is the cache key.
+type Plan struct {
+	Nodes int
+	Seed  int64
+}
 
 // Scenario is the wire document lowered by Resolve.
 type Scenario struct {
@@ -19,8 +23,8 @@ type Scenario struct {
 }
 
 // Resolve lowers the document to an executable plan.
-func (s Scenario) Resolve() (core.Plan, error) {
-	plan := core.Plan{Nodes: s.Nodes}
+func (s Scenario) Resolve() (Plan, error) {
+	plan := Plan{Nodes: s.Nodes}
 	plan.Seed = resolveSeed(s)
 	return plan, nil
 }

@@ -14,16 +14,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 )
 
 // Analyzer is one named invariant check.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics (keycomplete,
-	// determinism, strictdecode, nilrecorder).
+	// determinism, strictdecode, nilrecorder, ctxflow, goroleak,
+	// streamdone, hotpath).
 	Name string
 	// Doc is the one-paragraph contract the analyzer enforces.
 	Doc string
@@ -39,8 +37,6 @@ type Pass struct {
 	Files []*ast.File
 	Pkg   *types.Package
 	Info  *types.Info
-	// Dir is the package's source directory.
-	Dir string
 
 	diags *[]Diagnostic
 }
@@ -77,7 +73,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			Files:    pkg.Syntax,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			Dir:      pkg.Dir,
 			diags:    &diags,
 		}
 		if err := a.Run(pass); err != nil {
@@ -122,47 +117,4 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// ModuleInfo locates the enclosing module of dir: its root directory
-// and module path, read from go.mod.  Analyzers use it to map import
-// paths of sibling packages back to source directories (for the
-// comment-borne //repro:nokey annotations that export data cannot
-// carry).
-func ModuleInfo(dir string) (root, path string, err error) {
-	d, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(d, "go.mod"))
-		if err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if rest, ok := strings.CutPrefix(line, "module "); ok {
-					return d, strings.TrimSpace(rest), nil
-				}
-			}
-			return "", "", fmt.Errorf("lint: %s/go.mod has no module directive", d)
-		}
-		parent := filepath.Dir(d)
-		if parent == d {
-			return "", "", fmt.Errorf("lint: no go.mod above %s", dir)
-		}
-		d = parent
-	}
-}
-
-// PkgDir maps an import path inside the module rooted at root (module
-// path modPath) to its source directory, or "" if the package is
-// outside the module.
-func PkgDir(root, modPath, importPath string) string {
-	if importPath == modPath {
-		return root
-	}
-	rest, ok := strings.CutPrefix(importPath, modPath+"/")
-	if !ok {
-		return ""
-	}
-	return filepath.Join(root, filepath.FromSlash(rest))
 }

@@ -1,13 +1,18 @@
 // Package nokey parses //repro:nokey exclusion annotations.
 //
-// The canonical cache key must cover every field that can change what
-// a simulation computes.  A field that deliberately does NOT feed the
-// key -- a pure observer like the flight recorder -- must say so where
-// it is declared, in a form machines can check:
+// Every knob of the wire Scenario must reach the canonical cache key,
+// which encodes the (spec, plan) pair the scenario resolves to.  A
+// Scenario field that deliberately does NOT -- a pure observer like the
+// trace flag -- must say so where it is declared, in a form machines
+// can check:
 //
-//	// Recorder captures the run's timeline.
-//	//repro:nokey recorder — pure observer, never changes results
-//	Recorder *obs.Recorder
+//	// Trace opts the run into the flight recorder.
+//	//repro:nokey trace — pure observer, never changes results
+//	Trace bool `json:"trace,omitempty"`
+//
+// The annotation is for Scenario fields only.  The plan needs none:
+// the key is the plan's JSON encoding, so its one observer, the flight
+// recorder, is excluded by its json:"-" tag.
 //
 // Grammar, one annotation per struct field, in the field's doc or
 // trailing line comment:
@@ -18,18 +23,13 @@
 // <name> must match the field it annotates: its Go name (any case) or
 // its JSON tag name.  <reason> is mandatory -- an exclusion without a
 // recorded why is exactly the kind of folklore this annotation
-// retires.  The keycomplete analyzer and wire's key discipline test
-// both consume this package, so the annotation means the same thing to
-// the compiler gate and to `go test`.
+// retires.  The keycomplete analyzer consumes this package.
 package nokey
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 )
@@ -45,10 +45,8 @@ type Annotation struct {
 
 // Field describes one declared struct field.
 type Field struct {
-	Name     string // Go name
-	JSONName string // json tag name, "" if untagged
-	Pos      token.Pos
-	Ann      *Annotation // nil when the field carries no annotation
+	Name string      // Go name
+	Ann  *Annotation // nil when the field carries no annotation
 }
 
 // Struct is one struct type declaration's fields, in order.
@@ -93,44 +91,8 @@ func (s *Set) Excluded(structName, fieldName string) (Annotation, bool) {
 	return Annotation{}, false
 }
 
-// FieldInfo returns the parsed declaration of structName.fieldName.
-func (s *Set) FieldInfo(structName, fieldName string) (Field, bool) {
-	st := s.Struct(structName)
-	if st == nil {
-		return Field{}, false
-	}
-	for _, f := range st.Fields {
-		if f.Name == fieldName {
-			return f, true
-		}
-	}
-	return Field{}, false
-}
-
 // Problems returns malformed annotations found during parsing.
 func (s *Set) Problems() []Problem { return s.problems }
-
-// ParseDir parses the non-test Go files of dir (comments on) and
-// collects every struct declaration and annotation.
-func ParseDir(fset *token.FileSet, dir string) (*Set, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return ParseFiles(files), nil
-}
 
 // ParseFiles collects struct declarations and annotations from already
 // parsed files (which must have been parsed with comments).
@@ -179,7 +141,7 @@ func (s *Set) addStruct(name string, st *ast.StructType) {
 			}
 		}
 		for _, id := range fld.Names {
-			field := Field{Name: id.Name, JSONName: jsonName, Pos: id.Pos()}
+			field := Field{Name: id.Name}
 			if found {
 				ann, prob := parseAnnotation(name, id.Name, jsonName, text, pos)
 				if prob != nil {

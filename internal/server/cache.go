@@ -6,7 +6,8 @@ import (
 )
 
 // resultCache is a size-bounded LRU of canonical response bodies keyed
-// by wire.CanonicalRunKeyV2.  Simulations are deterministic, so a cached
+// by wire.CanonicalRunKeyV2, the JSON encoding of the resolved (spec,
+// plan) pair.  Simulations are deterministic, so a cached
 // body is byte-identical to what re-simulating would produce; serving
 // the stored bytes verbatim is both the fast path and the correctness
 // guarantee.

@@ -121,7 +121,7 @@ func (s *Server) serveCachedRun(w http.ResponseWriter, r *http.Request, key stri
 			}
 		}
 		if !route.relayed && s.ring != nil {
-			if owner := s.ring.Owner(wire.KeyHash(key)); owner != s.self {
+			if owner := s.ring.Owner(store.HashKey(key)); owner != s.self {
 				s.metrics.peerFetches.Add(1)
 				body, err := s.relay.Run(ctx, owner, route.scenario)
 				if err == nil {

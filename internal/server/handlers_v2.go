@@ -20,6 +20,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/store"
 	"repro/internal/sweep"
 	"repro/wire"
 )
@@ -243,7 +244,7 @@ func (s *Server) handleSweepV2(w http.ResponseWriter, r *http.Request) {
 func (s *Server) sweepPoint(ctx context.Context, p wire.ResolvedPoint) (wire.RunDocumentV2, error) {
 	key := wire.CanonicalRunKeyV2(p.Spec, p.Plan)
 	if s.ring != nil {
-		if owner := s.ring.Owner(wire.KeyHash(key)); owner != s.self {
+		if owner := s.ring.Owner(store.HashKey(key)); owner != s.self {
 			if doc, ok := s.fetchPeerDoc(ctx, owner, p.Scenario); ok {
 				return doc, nil
 			}

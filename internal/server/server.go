@@ -26,22 +26,23 @@
 //
 // Every simulation is a deterministic function of its (spec, plan)
 // pair, which buys three things at once: responses are cacheable (a
-// size-bounded LRU keyed by wire.CanonicalRunKeyV2 stores the marshaled
-// bytes, so a hit is byte-identical to a cold run); concurrent identical
-// requests coalesce singleflight-style into one simulation; and admitted
-// work runs on a bounded worker pool with per-request context
-// cancellation, so a client hanging up aborts its grid and SIGTERM
-// drains in-flight requests before the process exits.
+// size-bounded LRU keyed by wire.CanonicalRunKeyV2, the pair's JSON
+// encoding, stores the marshaled bytes, so a hit is byte-identical to a
+// cold run); concurrent identical requests coalesce singleflight-style
+// into one simulation; and admitted work runs on a bounded worker pool
+// with per-request context cancellation, so a client hanging up aborts
+// its grid and SIGTERM drains in-flight requests before the process
+// exits.
 //
 // The same determinism extends the cache beyond the process:
 // Config.StoreDir adds a disk-backed content-addressed tier
 // (internal/store) that survives restarts, and Config.Peers shards the
 // key space across a replica pool on a consistent-hash ring
 // (internal/shard), relaying each /v2/run to its owner and scattering
-// /v2/sweep grids per point.  The tier order is memory -> disk ->
-// owning peer -> compute; every tier serves byte-identical documents,
-// and any store or peer failure degrades to the next tier, never to an
-// error.
+// /v2/sweep grids per point.  Both address a run by store.HashKey of
+// its key.  The tier order is memory -> disk -> owning peer -> compute;
+// every tier serves byte-identical documents, and any store or peer
+// failure degrades to the next tier, never to an error.
 package server
 
 import (

@@ -325,6 +325,26 @@ func TestSubResolutionDowntimeIsBadRequest(t *testing.T) {
 	}
 }
 
+// TestOverflowingKnobsAreBadRequests: a bandwidth whose bytes-per-second
+// rate overflows to +Inf, and a checkpoint size past the int64 range,
+// are refused before the run with a 400 naming the knob, and the daemon
+// keeps serving.
+func TestOverflowingKnobsAreBadRequests(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for knob, body := range map[string]string{
+		"storage.bandwidth_mbps":    `{"version":2,"workflow":{"name":"1deg"},"storage":{"bandwidth_mbps":1.7e308}}`,
+		"recovery.checkpoint_bytes": `{"version":2,"workflow":{"name":"1deg"},"recovery":{"checkpoint_seconds":300,"checkpoint_bytes":1e19}}`,
+	} {
+		resp, got := postJSON(t, ts.URL+"/v2/run", body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), knob) {
+			t.Errorf("%s: status %d, body %s; want a 400 naming the knob", knob, resp.StatusCode, got)
+		}
+	}
+	if resp, got := postJSON(t, ts.URL+"/v2/run", baseline); resp.StatusCode != http.StatusOK {
+		t.Errorf("next run: status %d: %s", resp.StatusCode, got)
+	}
+}
+
 // TestRunV2PanicIsServerError: a panic inside a simulation answers 500
 // and is counted; nothing of it is cached, so the next request for the
 // same key simulates again and succeeds.

@@ -88,7 +88,7 @@ func (r *Ring) Contains(addr string) bool {
 }
 
 // Owner maps a key hash (the hex SHA-256 of a canonical run key, as
-// produced by wire.KeyHash) to the member that owns it: the first
+// produced by store.HashKey) to the member that owns it: the first
 // virtual node clockwise from the key's position on the circle.
 func (r *Ring) Owner(keyHash string) string {
 	h := keyPoint(keyHash)
@@ -101,7 +101,7 @@ func (r *Ring) Owner(keyHash string) string {
 
 // keyPoint positions a hex key hash on the circle: its first 16 hex
 // digits as a big-endian uint64.  A malformed hash (never produced by
-// wire.KeyHash) degrades to position 0 rather than an error -- every
+// store.HashKey) degrades to position 0 rather than an error -- every
 // replica degrades identically, so ownership stays consistent.
 func keyPoint(keyHash string) uint64 {
 	if len(keyHash) < 16 {

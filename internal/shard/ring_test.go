@@ -2,19 +2,14 @@ package shard
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-)
 
-func keyHash(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
+	"repro/internal/store"
+)
 
 func TestRingSingleMemberOwnsEverything(t *testing.T) {
 	r, err := New([]string{"a:1"})
@@ -22,7 +17,7 @@ func TestRingSingleMemberOwnsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if got := r.Owner(keyHash(fmt.Sprintf("key-%d", i))); got != "a:1" {
+		if got := r.Owner(store.HashKey(fmt.Sprintf("key-%d", i))); got != "a:1" {
 			t.Fatalf("owner = %q, want a:1", got)
 		}
 	}
@@ -38,7 +33,7 @@ func TestRingDeterministicAcrossMemberOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		h := keyHash(fmt.Sprintf("key-%d", i))
+		h := store.HashKey(fmt.Sprintf("key-%d", i))
 		if r1.Owner(h) != r2.Owner(h) {
 			t.Fatalf("ownership differs for key %d: %q vs %q", i, r1.Owner(h), r2.Owner(h))
 		}
@@ -54,7 +49,7 @@ func TestRingSpreadsKeys(t *testing.T) {
 	counts := make(map[string]int)
 	const n = 4000
 	for i := 0; i < n; i++ {
-		counts[r.Owner(keyHash(fmt.Sprintf("key-%d", i)))]++
+		counts[r.Owner(store.HashKey(fmt.Sprintf("key-%d", i)))]++
 	}
 	for _, m := range members {
 		share := float64(counts[m]) / n
@@ -76,7 +71,7 @@ func TestRingMinimalReshuffleOnMembershipChange(t *testing.T) {
 	const n = 2000
 	moved := 0
 	for i := 0; i < n; i++ {
-		h := keyHash(fmt.Sprintf("key-%d", i))
+		h := store.HashKey(fmt.Sprintf("key-%d", i))
 		if r3.Owner(h) != r4.Owner(h) {
 			if r4.Owner(h) != "d:4" {
 				t.Fatalf("key %d moved between surviving members (%s -> %s)", i, r3.Owner(h), r4.Owner(h))

@@ -201,8 +201,10 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // HashKey returns the content address of a canonical key: its SHA-256,
-// hex-encoded.  Exposed so callers (tests, the shard router) can find
-// an entry's file without re-deriving the scheme.
+// hex-encoded.  It is the one content-address function: the shard ring
+// positions keys on its circle with it, and wire.RunKeyHashV2 exposes
+// it for a resolved scenario, so every replica -- and every restart --
+// derives the same address for the same run.
 func HashKey(key string) string {
 	sum := sha256.Sum256([]byte(key))
 	return hex.EncodeToString(sum[:])

@@ -16,6 +16,11 @@ import (
 // "storage.mode", "pricing.cpu_per_hour", "workflow.ccr" -- because the
 // substitution operates on the JSON document itself; a new scenario
 // field is sweepable the day it is added, with no sweep-engine change.
+//
+// Values decoded from a request are float64, as encoding/json decodes
+// any number into an interface, so an integer axis value past 2^53 is
+// rounded.  Every other field of the base scenario is substituted
+// around exactly (see Scenario.With).
 type Axis struct {
 	Path   string `json:"axis"`
 	Values []any  `json:"values"`
@@ -119,6 +124,7 @@ func (r SweepRequest) ResolveGrid() ([]ResolvedPoint, error) {
 // value fails with a clear error instead of being silently dropped --
 // the property that makes every scenario field a valid sweep axis.
 // Intermediate sections absent from the base scenario are created.
+// Every field but the substituted one keeps its exact value.
 func (s Scenario) With(path string, value any) (Scenario, error) {
 	segs := strings.Split(path, ".")
 	for _, seg := range segs {
@@ -130,8 +136,12 @@ func (s Scenario) With(path string, value any) (Scenario, error) {
 	if err != nil {
 		return Scenario{}, err
 	}
+	// Numbers stay json.Number, not float64, so an integer past 2^53
+	// (a spot seed) survives the round trip exactly.
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
 	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return Scenario{}, err
 	}
 	cur := doc

@@ -1,90 +1,65 @@
 package wire
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"math"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/exec"
-	"repro/internal/lint/nokey"
 	"repro/internal/montage"
-	"repro/internal/policy"
+	"repro/internal/store"
+	"repro/internal/units"
 )
 
-// TestCanonicalRunKeyCoverage forces key maintenance field by field:
-// every exported field of every struct feeding the canonical key must
-// either appear as a selector in key.go or carry the //repro:nokey
-// annotation the keycomplete analyzer also reads.  Unlike the retired
-// reflect.NumField count guards, a failure names the missing field --
-// and a field that is both annotated and encoded fails too, because a
-// stale exclusion is as wrong as a missing encoding.
+// TestCanonicalRunKeyCoverage walks every struct reachable from the
+// key's (spec, plan) pair and fails on the two ways a JSON key can
+// skip a field silently: an unexported field, which encoding/json
+// never prints, and a json tag, where "-" drops the field and a rename
+// can collide with a sibling's name and drop both.  The one sanctioned
+// tag is the json:"-" on Plan.Recorder, a pure observer, and it must
+// stay: without it a traced plan would key apart from its untraced
+// twin.
 func TestCanonicalRunKeyCoverage(t *testing.T) {
-	fset := token.NewFileSet()
-	encoded := keyFileSelectors(t, fset)
-
-	for _, tc := range []struct {
-		typ reflect.Type
-		dir string
-	}{
-		{reflect.TypeOf(core.Plan{}), "../internal/core"},
-		{reflect.TypeOf(core.SpotPlan{}), "../internal/core"},
-		{reflect.TypeOf(montage.Spec{}), "../internal/montage"},
-		{reflect.TypeOf(exec.Recovery{}), "../internal/exec"},
-		{reflect.TypeOf(cost.Pricing{}), "../internal/cost"},
-		{reflect.TypeOf(policy.Bundle{}), "../internal/policy"},
-	} {
-		name := tc.typ.Name()
-		anns, err := nokey.ParseDir(fset, tc.dir)
-		if err != nil {
-			t.Fatalf("%s: parsing %s: %v", name, tc.dir, err)
+	plan := reflect.TypeOf(core.Plan{})
+	if f, ok := plan.FieldByName("Recorder"); !ok || f.Tag != `json:"-"` {
+		t.Errorf(`core.Plan.Recorder must be tagged json:"-"`)
+	}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice:
+			walk(typ.Elem())
+			return
+		case reflect.Struct:
+		default:
+			return
 		}
-		for _, p := range anns.Problems() {
-			t.Errorf("%s: %s", fset.Position(p.Pos), p.Message)
-		}
-		for i := 0; i < tc.typ.NumField(); i++ {
-			f := tc.typ.Field(i)
-			if !f.IsExported() {
-				continue
-			}
-			_, excluded := anns.Excluded(name, f.Name)
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			tag, tagged := f.Tag.Lookup("json")
 			switch {
-			case excluded && encoded[f.Name]:
-				t.Errorf("%s.%s carries //repro:nokey but key.go references it; drop the stale annotation or the encoding", name, f.Name)
-			case !excluded && !encoded[f.Name]:
-				t.Errorf("%s.%s is not encoded in CanonicalRunKeyV2 and has no //repro:nokey annotation; extend the key or annotate the exclusion", name, f.Name)
+			case !f.IsExported():
+				t.Errorf("%s.%s is unexported, so the cache key never sees it", typ, f.Name)
+			case typ == plan && f.Name == "Recorder":
+				// The sanctioned observer, checked above.
+			case tagged:
+				t.Errorf("%s.%s carries json tag %q; the cache key must print every field under its Go name", typ, f.Name, tag)
+			default:
+				walk(f.Type)
 			}
 		}
 	}
-}
-
-// keyFileSelectors collects every selector name key.go mentions -- the
-// syntactic approximation of "encoded" this test shares with the
-// keycomplete analyzer's type-checked version.
-func keyFileSelectors(t *testing.T, fset *token.FileSet) map[string]bool {
-	t.Helper()
-	f, err := parser.ParseFile(fset, "key.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := map[string]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			out[sel.Sel.Name] = true
-		}
-		return true
-	})
-	return out
+	walk(reflect.TypeOf(montage.Spec{}))
+	walk(plan)
 }
 
 // TestCanonicalRunKeyStability pins the key space.  An explicit
 // default and an elided one are the same run, so they share a key;
 // distinct plans and specs never do; and the content addresses of the
-// golden fixtures are frozen, because disk stores written by earlier
-// builds are addressed by them.
+// golden fixtures are pinned, because disk stores written by earlier
+// builds are addressed by them: a change to the key's bytes orphans
+// every stored entry and must be deliberate.
 func TestCanonicalRunKeyStability(t *testing.T) {
 	elided := v2Fixtures["baseline"]
 	explicit := Scenario{
@@ -98,19 +73,53 @@ func TestCanonicalRunKeyStability(t *testing.T) {
 	if runKey(t, elided) != runKey(t, explicit) {
 		t.Error("explicit and elided defaults got distinct keys")
 	}
+	spec, plan, err := elided.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := plan
+	empty.Outages, empty.Preemptions = []exec.Outage{}, []exec.Preemption{}
+	if CanonicalRunKeyV2(spec, empty) != CanonicalRunKeyV2(spec, plan) {
+		t.Error("empty and nil outage and preemption lists got distinct keys")
+	}
 	requireDistinctKeys(t, elided, map[string]func(Scenario) (Scenario, error){
 		"plan": func(s Scenario) (Scenario, error) { return s.With("fleet.processors", 4) },
 		"spec": func(s Scenario) (Scenario, error) { return s.With("workflow.name", "2deg") },
 	})
+	// These two echo byte-identically (the custom mosaic takes the
+	// preset's name) but run 208 and 203 tasks, so the key is the
+	// resolved pair, never the echo.
+	custom := Scenario{Version: 2, Workflow: WorkflowSection{Degrees: 1}}
+	preset := Scenario{Version: 2, Workflow: WorkflowSection{Name: "1deg", CCR: 0.05}}
+	if runKey(t, custom) == runKey(t, preset) {
+		t.Error("a 1-degree custom mosaic shares a key with the 1deg preset at CCR 0.05")
+	}
 	for name, want := range map[string]string{
-		"baseline": "b4a54d1193157017eb424edd3ff4dfa786a59973cf5deac69cdb1c68f2935362",
-		"full":     "9bfd9da9c3bf48fd4a86de8310aa64812df9125b09b6c5dbd3d5791e26819a63",
-		"ccr":      "1f95c1be5b5a5a0bb7360488d055fba5ead017a4ea811eeade1e50c56722ab80",
+		"baseline": "479e87d88befd47f426f60644d46cf613aa9e7d597a81efab86f22d7bd59ddc1",
+		"full":     "5d8d7f35ef98e6f09b9d87a8ff2e78bbcf2ce188e1f6350a60f17cc0794cc4df",
+		"ccr":      "3d4543c8f530ea1c69fd09b62af20aca7a9771d1115bd7add7c0bec604777bd1",
 	} {
-		if got := KeyHash(runKey(t, v2Fixtures[name])); got != want {
+		if got := store.HashKey(runKey(t, v2Fixtures[name])); got != want {
 			t.Errorf("%s: content address %s, want %s (stored entries would be orphaned)", name, got, want)
 		}
 	}
+}
+
+// TestCanonicalRunKeyPanicsOnUnencodablePlan: a plan JSON cannot
+// encode, which only Go code outside Resolve can build, panics rather
+// than sharing a fallback key with unrelated runs.
+func TestCanonicalRunKeyPanicsOnUnencodablePlan(t *testing.T) {
+	spec, plan, err := v2Fixtures["baseline"].Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Bandwidth = units.Bandwidth(math.Inf(1))
+	defer func() {
+		if recover() == nil {
+			t.Error("an infinite bandwidth got a key")
+		}
+	}()
+	CanonicalRunKeyV2(spec, plan)
 }
 
 func runKey(t *testing.T, s Scenario) string {

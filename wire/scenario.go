@@ -216,7 +216,8 @@ func (w WorkflowSection) resolve() (montage.Spec, error) {
 
 // Resolve turns the scenario into a concrete spec and plan, rejecting
 // anything malformed.  The returned plan is canonical (defaults filled
-// in), so equal scenarios resolve to equal values and share cache keys.
+// in), so equal scenarios resolve to equal values and share cache keys,
+// and every number in it is finite, so CanonicalRunKeyV2 can encode it.
 func (s Scenario) Resolve() (montage.Spec, core.Plan, error) {
 	fail := func(err error) (montage.Spec, core.Plan, error) { return montage.Spec{}, core.Plan{}, err }
 	if s.Version != Version {
@@ -244,6 +245,9 @@ func (s Scenario) Resolve() (montage.Spec, core.Plan, error) {
 		}
 		if st.BandwidthMbps > 0 {
 			plan.Bandwidth = units.Mbps(st.BandwidthMbps)
+			if math.IsInf(float64(plan.Bandwidth), 0) {
+				return fail(fmt.Errorf("wire: storage.bandwidth_mbps %v overflows the link's bytes-per-second rate", st.BandwidthMbps))
+			}
 		}
 	}
 
@@ -372,6 +376,8 @@ func (s Scenario) Resolve() (montage.Spec, core.Plan, error) {
 			return fail(fmt.Errorf("wire: negative checkpoint overhead %v s", rc.CheckpointOverheadSeconds))
 		case rc.CheckpointBytes < 0:
 			return fail(fmt.Errorf("wire: negative checkpoint size %v bytes", rc.CheckpointBytes))
+		case rc.CheckpointBytes >= 1<<63:
+			return fail(fmt.Errorf("wire: recovery.checkpoint_bytes %v is past the largest size, 2^63-1 bytes", rc.CheckpointBytes))
 		case rc.CheckpointSeconds == 0 && (rc.CheckpointOverheadSeconds > 0 || rc.CheckpointBytes > 0):
 			return fail(fmt.Errorf("wire: checkpoint overhead/bytes set without an interval"))
 		}

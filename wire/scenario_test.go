@@ -177,6 +177,8 @@ func TestScenarioResolveErrors(t *testing.T) {
 		"negative storage rate":  {Version: 2, Workflow: wf, Pricing: &PricingSection{StoragePerGBMonth: -0.1}},
 		"negative transfer-in":   {Version: 2, Workflow: wf, Pricing: &PricingSection{TransferInPerGB: -0.1}},
 		"negative transfer-out":  {Version: 2, Workflow: wf, Pricing: &PricingSection{TransferOutPerGB: -0.1}},
+		"bandwidth overflow":     {Version: 2, Workflow: wf, Storage: &StorageSection{BandwidthMbps: 1.7e308}},
+		"ckpt bytes past int64":  {Version: 2, Workflow: wf, Recovery: &RecoverySection{CheckpointSeconds: 300, CheckpointBytes: 1e19}},
 	} {
 		if _, _, err := s.Resolve(); err == nil {
 			t.Errorf("%s: accepted", name)

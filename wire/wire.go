@@ -7,7 +7,9 @@
 // document with nested workflow, fleet, storage, pricing, spot,
 // recovery and policies sections.  It resolves to a (spec, plan) pair,
 // runs into a RunDocumentV2 that echoes the normalized scenario back,
-// and keys the cache through CanonicalRunKeyV2.
+// and keys the cache through CanonicalRunKeyV2: the JSON encoding of
+// the resolved pair, not of the scenario or its echo, so every field
+// of the spec and the plan is in the key by construction.
 //
 // The scenario is also the sweep substrate: SweepRequest declares a
 // grid as {axis: <any scenario path>, values: [...]} pairs, so any
