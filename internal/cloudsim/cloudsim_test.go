@@ -71,6 +71,44 @@ func TestStorageTimeMonotonicity(t *testing.T) {
 	s.Put(5, 1, 1)
 }
 
+// TestStorageResetMatchesNew checks that a reset storage system is the
+// one NewStorage returns, whether Reset shrinks or grows it, and that a
+// curve returned before the reset is left as it was.
+func TestStorageResetMatchesNew(t *testing.T) {
+	s := NewStorage(4, true)
+	for slot := 0; slot < 4; slot++ {
+		if err := s.Put(units.Duration(slot), slot, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := s.Curve()
+	want := append([]UsagePoint(nil), old...)
+	for _, slots := range []int{2, 8} {
+		for _, record := range []bool{false, true} {
+			s.Reset(slots, record)
+			fresh := NewStorage(slots, record)
+			if s.Count() != 0 || s.Current() != 0 || s.Peak() != 0 || s.ByteSeconds(0) != 0 {
+				t.Fatalf("Reset(%d, %v) left state behind", slots, record)
+			}
+			for slot := 0; slot < slots; slot++ {
+				if err := s.Put(5, slot, 3); err != nil {
+					t.Fatalf("Reset(%d, %v): slot %d: %v", slots, record, slot, err)
+				}
+				fresh.Put(5, slot, 3)
+			}
+			if s.ByteSeconds(9) != fresh.ByteSeconds(9) || s.Peak() != fresh.Peak() ||
+				len(s.Curve()) != len(fresh.Curve()) {
+				t.Errorf("Reset(%d, %v) differs from NewStorage", slots, record)
+			}
+		}
+	}
+	for i := range want {
+		if old[i] != want[i] {
+			t.Fatalf("Reset rewrote an earlier curve: %v, want %v", old, want)
+		}
+	}
+}
+
 // Property: byte-seconds equals the step-function integral recomputed
 // from the recorded curve, for any event sequence.
 func TestPropStorageIntegralMatchesCurve(t *testing.T) {

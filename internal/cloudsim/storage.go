@@ -43,14 +43,27 @@ type Storage struct {
 // curve retrievable via Curve (used by tests and the report tooling;
 // large simulations can leave it off).
 func NewStorage(slots int, recordCurve bool) *Storage {
-	s := &Storage{sizes: make([]units.Bytes, slots), recordCurve: recordCurve}
+	s := new(Storage)
+	s.Reset(slots, recordCurve)
+	return s
+}
+
+// Reset empties s into the storage system NewStorage(slots, recordCurve)
+// returns, reusing its slot array when that is large enough.  A usage
+// curve is never reused: one that Curve returned before stays the
+// caller's, and recording starts a new one.
+func (s *Storage) Reset(slots int, recordCurve bool) {
+	sizes := s.sizes[:0]
+	if cap(sizes) < slots {
+		sizes = make([]units.Bytes, slots)
+	}
+	*s = Storage{sizes: sizes[:slots], recordCurve: recordCurve}
 	for i := range s.sizes {
 		s.sizes[i] = -1
 	}
 	if recordCurve {
 		s.curve = append(s.curve, UsagePoint{0, 0})
 	}
-	return s
 }
 
 // advance accumulates the area under the usage curve up to now.

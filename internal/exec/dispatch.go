@@ -24,6 +24,7 @@ func (r *runner) releaseSlot(id dag.TaskID, now units.Duration) error {
 		r.tasks[id].onReliable = false
 		return r.cluster.ReleaseReliable(now)
 	}
+	r.running[id/64] &^= 1 << (id % 64)
 	return r.cluster.ReleaseSpot(now)
 }
 
@@ -49,7 +50,6 @@ func (r *runner) readyBefore(a, b dag.TaskID) bool {
 //
 //repro:hot
 func (r *runner) enqueueReady(id dag.TaskID) {
-	r.tasks[id].phase = phaseReady
 	if r.trace != nil {
 		r.trace.Record(r.now, obs.Event{Kind: obs.KindReady, Task: int(id), Name: r.wf.Task(id).Name})
 	}
@@ -158,11 +158,13 @@ func (r *runner) effectiveRecovery(rem units.Duration, onReliable bool) Recovery
 func (r *runner) startTask(id dag.TaskID, now units.Duration) {
 	ts := &r.tasks[id]
 	ts.onReliable = r.cluster.AcquireReliable(now)
-	if !ts.onReliable && !r.cluster.AcquireSpot(now) {
-		r.fail(fmt.Errorf("exec: dispatch overran the free processors at %v", now))
-		return
+	if !ts.onReliable {
+		if !r.cluster.AcquireSpot(now) {
+			r.fail(fmt.Errorf("exec: dispatch overran the free processors at %v", now))
+			return
+		}
+		r.running[id/64] |= 1 << (id % 64)
 	}
-	ts.phase = phaseRunning
 	t := r.wf.Task(id)
 	// The attempt resumes from the banked progress and pays its
 	// effective recovery policy's checkpoint overhead along the way.
@@ -258,7 +260,6 @@ func (r *runner) completeTask(id dag.TaskID, now units.Duration) {
 		r.fail(err)
 		return
 	}
-	r.tasks[id].phase = phaseDone
 	r.doneTasks++
 	t := r.wf.Task(id)
 

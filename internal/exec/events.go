@@ -18,6 +18,13 @@ import (
 func (r *runner) startResident() {
 	// Phase 1: stage in every external input, serialized on the link in
 	// name order.  Each file becomes resident on arrival.
+	//
+	// The arrivals are applied to storage as they are booked, each at its
+	// own instant, not queued: until evExecStart no task is ready or
+	// running, so nothing that fires before it (a reclaim, a restore, a
+	// deferred dispatch) touches storage.  The link is FIFO, so the
+	// arrivals are booked in the order of their instants, and storage
+	// sees the same sequence of changes as when each fired as an event.
 	start := r.avail(r.now)
 	stageInEnd := start
 	for _, f := range r.wf.ExternalInputs() {
@@ -32,7 +39,10 @@ func (r *runner) startResident() {
 				Bytes: int64(f.Size), Dir: "in", End: end.Seconds(),
 			})
 		}
-		r.post(end, evStageIn, -1, uint32(f.ID()))
+		if err := r.storage.Put(end, int(f.ID()), f.Size); err != nil {
+			r.fail(err)
+			return
+		}
 		if end > stageInEnd {
 			stageInEnd = end
 		}
@@ -119,10 +129,20 @@ func (r *runner) startRemoteIO() {
 // task fetches its files over its own connection, one after another, at
 // full bandwidth; concurrent tasks do not contend (each remote-I/O task
 // is an independent stream in the paper's model).
+//
+// The task is ready the instant its last input arrives.  That fetch's
+// event readies it (see fire): staging it from an event of its own,
+// queued right after at the same instant, would fire next anyway, as no
+// queued event sorts between the two and a reclaim at that instant
+// fires before both.  Only a task with no inputs queues evStaged.
 func (r *runner) beginStaging(id dag.TaskID) {
-	r.tasks[id].phase = phaseStaging
+	ids := r.wf.InputIDs(id)
+	if len(ids) == 0 {
+		r.post(r.now, evStaged, id, 0)
+		return
+	}
 	cur := r.now
-	for i, in := range r.wf.InputIDs(id) {
+	for i, in := range ids {
 		f := r.wf.FileByID(in)
 		cur = r.avail(cur)
 		s, end, err := r.link.Record(cur, f.Size, cloudsim.In)
@@ -139,7 +159,6 @@ func (r *runner) beginStaging(id dag.TaskID) {
 		r.post(end, evFetched, id, uint32(i))
 		cur = end
 	}
-	r.post(cur, evStaged, id, 0)
 }
 
 // finishRemoteTask stages out every output of a completed remote-I/O

@@ -39,6 +39,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/cloudsim"
 	"repro/internal/dag"
@@ -127,14 +128,17 @@ func RunContext(ctx context.Context, wf *dag.Workflow, cfg Config) (Metrics, err
 	if err != nil {
 		return Metrics{}, err
 	}
-	r := &runner{
-		wf:       wf,
-		cfg:      cfg,
-		policies: resolved,
-		reclaims: cfg.Preemptions,
-		link:     link,
-		cluster:  cluster,
-		trace:    cfg.Recorder,
+	r := runnerPool.Get().(*runner)
+	defer r.release()
+	*r = runner{
+		runBuffers: r.runBuffers,
+		wf:         wf,
+		cfg:        cfg,
+		policies:   resolved,
+		reclaims:   cfg.Preemptions,
+		link:       link,
+		cluster:    cluster,
+		trace:      cfg.Recorder,
 	}
 	r.layoutStorage()
 	if cfg.Mode == datamgmt.Cleanup {
@@ -148,22 +152,13 @@ func RunContext(ctx context.Context, wf *dag.Workflow, cfg Config) (Metrics, err
 	return r.run(ctx)
 }
 
-type taskPhase uint8
-
-const (
-	phaseWaiting taskPhase = iota // dependencies outstanding
-	phaseStaging                  // remote I/O: inputs in flight
-	phaseReady                    // waiting for a processor
-	phaseRunning                  // computing
-	phaseDone                     // completed (remote I/O: outputs may still be in flight)
-)
-
 // taskState is one task's execution state.  The preemption bookkeeping
 // lives here too: the attempt counter disarms stale completion events,
 // banked is the useful work preserved across kills, runStart/runRem
 // describe the attempt in flight, interval is its effective checkpoint
 // interval (the checkpoint trigger may space each attempt's snapshots
 // differently) and onReliable records which sub-pool it occupies.
+// Which tasks run on the spot sub-pool is runBuffers.running.
 type taskState struct {
 	banked     units.Duration
 	runStart   units.Duration
@@ -172,21 +167,71 @@ type taskState struct {
 	attempt    uint32
 	depsLeft   int32
 	span       int32 // schedule index of the attempt in flight, -1 for none
-	phase      taskPhase
 	onReliable bool
 }
 
+// runBuffers holds every array a run sizes to its workflow or grows as
+// it goes.  Runners are recycled through runnerPool with their buffers,
+// so a warmed run allocates none of them.  Each run resets a buffer
+// before its first use.  No output of a run may alias one: Metrics'
+// curve and schedule are allocated afresh by every run that records
+// them.
+type runBuffers struct {
+	tasks   []taskState  // by task ID
+	queue   eventQueue   // the pending events (loop.go)
+	ready   []dag.TaskID // compute-ready from readyHead on, kept in policy order
+	batch   []dag.TaskID // dispatch's batch
+	dead    []dag.FileID // cleanup's dead files
+	storage cloudsim.Storage
+	// Storage slots (see layoutStorage): task t's staged remote-I/O
+	// copies start at remoteBase[t].
+	remoteBase []int
+	// running holds one bit per task, set while an attempt of the task
+	// runs on the spot sub-pool: pickVictims' candidates, in task order.
+	running []uint64
+	// pickVictims' buffers, reused across reclaims.
+	cands   []policy.VictimCandidate
+	scores  []float64
+	perm    []int
+	victims []victimChoice
+	// window holds a sampled spot market's reclaim windows (loop.go).
+	window scheduleBuffers
+}
+
+// runnerPool recycles runners and their buffers across runs.
+var runnerPool = sync.Pool{New: func() any { return new(runner) }}
+
+// release returns r to runnerPool, keeping only its buffers, so that
+// nothing of the run it served stays reachable from the pool.
+func (r *runner) release() {
+	r.storage.Reset(0, false) // drops the curve, which Metrics may hold
+	*r = runner{runBuffers: r.runBuffers}
+	runnerPool.Put(r)
+}
+
+// resize returns s resized to n zeroed elements, reusing its array when
+// that is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 type runner struct {
+	runBuffers
+
 	wf       *dag.Workflow
 	cfg      Config
 	policies policy.Resolved
 
 	// The event loop's state (loop.go): the clock, the last sequence
-	// number handed out, the pending events, and whether the loop must
-	// stop (the run is over or a handler failed).
+	// number handed out, whether the loop must stop (the run is over or
+	// a handler failed).  The pending events are in runBuffers.
 	now     units.Duration
 	seq     uint64
-	queue   eventQueue
 	stopped bool
 	// The reclaim stream: cfg.Preemptions, or the window of a sampled
 	// spot market's schedule that holds every reclaim before windowEnd
@@ -194,21 +239,13 @@ type runner struct {
 	reclaims  []Preemption
 	windowEnd units.Duration
 
-	storage  *cloudsim.Storage
 	link     *cloudsim.Link
 	cluster  *cloudsim.Cluster
 	analyzer *datamgmt.Analyzer
-	// Storage slots (see layoutStorage): task t's staged remote-I/O
-	// copies start at remoteBase[t]; its checkpoint image is at
-	// ckptBase+t.
-	remoteBase []int
-	ckptBase   int
+	// Task t's checkpoint image is in storage slot ckptBase+t.
+	ckptBase int
 
-	tasks            []taskState  // by task ID
-	ready            []dag.TaskID // compute-ready from readyHead on, kept in policy order
-	readyHead        int          // dispatched prefix of ready, reused once drained or full
-	batch            []dag.TaskID // dispatch's reused batch buffer
-	dead             []dag.FileID // cleanup's reused dead-file buffer
+	readyHead        int // dispatched prefix of ready, reused once drained or full
 	doneTasks        int
 	stagedOut        int // remote I/O: tasks whose outputs reached the user
 	execEnd          units.Duration
@@ -223,11 +260,6 @@ type runner struct {
 	checkpoints  int
 	ckptWritten  units.Bytes
 	ckptRestored units.Bytes
-	// pickVictims' buffers, reused across reclaims.
-	cands   []policy.VictimCandidate
-	scores  []float64
-	perm    []int
-	victims []victimChoice
 
 	// trace is the optional flight recorder.  Every record is guarded by
 	// a nil check so untraced runs -- the cacheable common case -- pay
@@ -265,7 +297,7 @@ func (r *runner) fail(err error) {
 func (r *runner) layoutStorage() {
 	n := r.wf.NumTasks()
 	if r.cfg.Mode == datamgmt.RemoteIO {
-		r.remoteBase = make([]int, n)
+		r.remoteBase = resize(r.remoteBase, n)
 		for i, t := range r.wf.Tasks() {
 			r.remoteBase[i] = r.ckptBase
 			r.ckptBase += len(t.Inputs) + len(t.Outputs)
@@ -273,7 +305,7 @@ func (r *runner) layoutStorage() {
 	} else {
 		r.ckptBase = r.wf.NumFiles()
 	}
-	r.storage = cloudsim.NewStorage(r.ckptBase+n, r.cfg.RecordCurve)
+	r.storage.Reset(r.ckptBase+n, r.cfg.RecordCurve)
 }
 
 // ckptSlot is the storage slot of a task's checkpoint image.
@@ -297,7 +329,9 @@ func (r *runner) reserveAvail(now units.Duration, size units.Bytes, dir cloudsim
 
 func (r *runner) run(ctx context.Context) (Metrics, error) {
 	n := r.wf.NumTasks()
-	r.tasks = make([]taskState, n)
+	r.tasks = resize(r.tasks, n)
+	r.running = resize(r.running, (n+63)/64)
+	r.queue, r.ready = r.queue[:0], r.ready[:0]
 	for i, t := range r.wf.Tasks() {
 		r.tasks[i].depsLeft = int32(len(t.Parents()))
 		r.tasks[i].span = -1
@@ -322,6 +356,10 @@ func (r *runner) run(ctx context.Context) (Metrics, error) {
 
 	if err := r.loop(ctx); err != nil {
 		return Metrics{}, fmt.Errorf("exec: %w", err)
+	}
+	if firedHook != nil {
+		// Every event posted was fired, or is still queued.
+		firedHook(int(r.seq) - len(r.queue))
 	}
 	if r.err != nil {
 		return Metrics{}, r.err

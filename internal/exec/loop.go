@@ -36,11 +36,10 @@ type evKind uint8
 
 const (
 	evStart      evKind = iota // the VMs have booted: begin the data-management model
-	evStageIn                  // resident: external input aux arrived
 	evExecStart                // resident: every input is resident, tasks may run
 	evFinish                   // resident: stage-out done, delete everything (the makespan)
-	evFetched                  // remote I/O: input aux (name order) of task arrived
-	evStaged                   // remote I/O: every input of task arrived
+	evFetched                  // remote I/O: input aux (name order) of task arrived; the last one readies task
+	evStaged                   // remote I/O: task, which has no inputs, is ready
 	evCleanup                  // remote I/O: task's outputs reached the user
 	evDispatch                 // a storage outage closed: dispatch again
 	evCheckpoint               // first durable checkpoint of task's attempt aux
@@ -170,13 +169,14 @@ func (r *runner) loop(ctx context.Context) error {
 }
 
 // extendWindow doubles the sampled reclaim window, capped at the
-// horizon, and re-samples it.  The new window's sorted schedule starts
-// with the old one, so the loop's cursor stays valid.
+// horizon, and re-samples it into the run's window buffers, over the
+// old window.  The new window's sorted schedule starts with the old
+// one, so the loop's cursor stays valid.
 func (r *runner) extendWindow() error {
 	m := r.cfg.Spot
 	r.windowEnd = min(max(2*r.windowEnd, firstWindow), m.Horizon)
 	procs := r.cluster.Provisioned() - r.cluster.Reliable()
-	w, err := SpotScheduleInstances(r.windowEnd, procs, m.RatePerHour, m.Warning, m.Downtime, m.Seed)
+	w, err := r.window.sample(r.windowEnd, procs, m.RatePerHour, m.Warning, m.Downtime, m.Seed)
 	if err != nil {
 		return err
 	}
@@ -190,6 +190,11 @@ func (r *runner) extendWindow() error {
 // sampleHook, when a test sets it, is called with the size of every
 // reclaim window a run samples.  Runs may call it concurrently.
 var sampleHook func(reclaims int)
+
+// firedHook, when a test sets it, is called with the number of queued
+// events each run fired, once its loop is done.  Runs may call it
+// concurrently.
+var firedHook func(events int)
 
 // reclaimsScheduled reports whether the run's whole reclaim schedule is
 // non-empty, whatever part of it the run sampled: the exact-CPU
@@ -215,19 +220,19 @@ func (r *runner) fire(ev event) {
 		} else {
 			r.startResident()
 		}
-	case evStageIn:
-		f := r.wf.FileByID(dag.FileID(ev.aux))
-		if err := r.storage.Put(r.now, int(ev.aux), f.Size); err != nil {
-			r.fail(err)
-		}
 	case evExecStart:
 		r.beginExecution()
 	case evFinish:
 		r.finishStageOut()
 	case evFetched:
-		f := r.wf.FileByID(r.wf.InputIDs(id)[ev.aux])
-		if err := r.storage.Put(r.now, r.remoteBase[id]+int(ev.aux), f.Size); err != nil {
+		ids := r.wf.InputIDs(id)
+		if err := r.storage.Put(r.now, r.remoteBase[id]+int(ev.aux), r.wf.FileByID(ids[ev.aux]).Size); err != nil {
 			r.fail(err)
+			return
+		}
+		if int(ev.aux) == len(ids)-1 {
+			r.enqueueReady(id)
+			r.dispatch(r.now)
 		}
 	case evStaged:
 		r.enqueueReady(id)

@@ -16,8 +16,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/obs"
@@ -251,29 +252,29 @@ type victimChoice struct {
 // policy: the largest scores die first, task ID descending as the
 // deterministic tie-break.  Only tasks on the spot sub-pool are
 // candidates -- reliable on-demand capacity is exactly the capacity
-// reclaims cannot touch.  The returned slice is reused by the next call.
+// reclaims cannot touch.  They are read from the running bitset in task
+// order.  The returned slice is reused by the next call.
 func (r *runner) pickVictims(need int, now units.Duration) []victimChoice {
 	cands := r.cands[:0]
-	for id := range r.tasks {
-		ts := &r.tasks[id]
-		if ts.phase != phaseRunning || ts.onReliable {
-			continue
+	for w, word := range r.running {
+		for ; word != 0; word &= word - 1 {
+			tid := dag.TaskID(w*64 + bits.TrailingZeros64(word))
+			ts := &r.tasks[tid]
+			rec := r.recovery(tid)
+			elapsed := now - ts.runStart
+			rem := ts.runRem
+			saved, _ := rec.bankedDuring(elapsed, rem)
+			cands = append(cands, policy.VictimCandidate{
+				Task:      tid,
+				Start:     ts.runStart,
+				Elapsed:   elapsed,
+				Remaining: rem,
+				Runtime:   r.wf.Task(tid).Runtime,
+				Banked:    ts.banked,
+				Useful:    rec.usefulDuring(elapsed, rem),
+				Saved:     saved,
+			})
 		}
-		tid := dag.TaskID(id)
-		rec := r.recovery(tid)
-		elapsed := now - ts.runStart
-		rem := ts.runRem
-		saved, _ := rec.bankedDuring(elapsed, rem)
-		cands = append(cands, policy.VictimCandidate{
-			Task:      tid,
-			Start:     ts.runStart,
-			Elapsed:   elapsed,
-			Remaining: rem,
-			Runtime:   r.wf.Task(tid).Runtime,
-			Banked:    ts.banked,
-			Useful:    rec.usefulDuring(elapsed, rem),
-			Saved:     saved,
-		})
 	}
 	r.cands = cands
 	score, perm := r.scores[:0], r.perm[:0]
@@ -287,12 +288,7 @@ func (r *runner) pickVictims(need int, now units.Duration) []victimChoice {
 	// longer the score of the candidate at position i.  Every committed
 	// spot result was ranked this way, so it is kept exactly; ranking by
 	// each candidate's own score would change them.
-	sort.SliceStable(perm, func(i, j int) bool {
-		if score[i] != score[j] {
-			return score[i] > score[j]
-		}
-		return cands[perm[i]].Task > cands[perm[j]].Task
-	})
+	victimRank{score: score, perm: perm}.sort()
 	if need > len(cands) {
 		need = len(cands)
 	}
@@ -504,6 +500,21 @@ func reclaimGap(rng *rand.Rand, ratePerHour float64) units.Duration {
 // runner samples a spot market's reclaims through this function, window
 // by window.
 func SpotScheduleInstances(horizon units.Duration, procs int, ratePerHour float64, warning, down units.Duration, seed int64) ([]Preemption, error) {
+	var b scheduleBuffers
+	return b.sample(horizon, procs, ratePerHour, warning, down, seed)
+}
+
+// scheduleBuffers are the arrays a per-instance schedule is sampled and
+// merged in.  A runner keeps one set for all its spot windows.
+type scheduleBuffers struct {
+	out, merge []Preemption
+	runs       []int
+}
+
+// sample is SpotScheduleInstances, sampling into b's arrays: the
+// schedule it returns aliases one of them, so it lives only until the
+// next call.
+func (b *scheduleBuffers) sample(horizon units.Duration, procs int, ratePerHour float64, warning, down units.Duration, seed int64) ([]Preemption, error) {
 	if err := validateSpotArgs(horizon, procs, ratePerHour, warning, down); err != nil {
 		return nil, err
 	}
@@ -514,8 +525,8 @@ func SpotScheduleInstances(horizon units.Duration, procs int, ratePerHour float6
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Preemption, 0, procs*int(perInstance))
-	runs := make([]int, procs+1) // instance i's reclaims are out[runs[i]:runs[i+1]]
+	out := slices.Grow(b.out[:0], procs*int(perInstance))
+	runs := resize(b.runs, procs+1) // instance i's reclaims are out[runs[i]:runs[i+1]]
 	// One generator re-seeded per instance: Seed resets the whole source
 	// state, so each instance draws exactly the stream a fresh
 	// rand.NewSource with its sub-seed would.  The source seeds lazily
@@ -540,23 +551,25 @@ func SpotScheduleInstances(horizon units.Duration, procs int, ratePerHour float6
 		}
 		runs[i+1] = len(out)
 	}
-	return mergeRuns(out, runs), nil
+	b.out, b.runs = out, runs
+	b.merge = slices.Grow(b.merge[:0], len(out))[:len(out)]
+	return mergeRuns(out, b.merge, runs), nil
 }
 
 // mergeRuns orders a schedule made of sorted runs (one per instance, in
 // instance order) by (Reclaim, Warning, Restore, instance), merging
-// adjacent runs pairwise.  A merge takes the left run's reclaim on ties,
+// adjacent runs pairwise between out and buf, which is as long as out;
+// the result is one of the two.  A merge takes the left run's reclaim on ties,
 // so the result is exactly what a stable sort of the concatenation by
 // (Reclaim, Warning, Restore) gives.  It is hand-written because the
 // runs are already sorted: on a 128-instance schedule the sampler takes
 // about half the time it takes with slices.SortStableFunc, and about
 // two thirds of that with slices.SortFunc (BenchmarkSpotScheduleInstances).
-func mergeRuns(out []Preemption, runs []int) []Preemption {
+func mergeRuns(out, buf []Preemption, runs []int) []Preemption {
 	if len(out) == 0 {
 		return nil
 	}
 	k := len(runs) - 1
-	buf := make([]Preemption, len(out))
 	for width := 1; width < k; width *= 2 {
 		for i := 0; i < k; i += 2 * width {
 			lo, mid, hi := runs[i], runs[min(i+width, k)], runs[min(i+2*width, k)]

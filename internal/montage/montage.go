@@ -21,6 +21,7 @@
 package montage
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -356,6 +357,11 @@ func (b *builder) calibrateRuntimes() error {
 	return nil
 }
 
+// ErrCCRUnreachable reports a spec whose target CCR is too small for its
+// mosaic: the files whose sizes the paper anchors (the inputs and the
+// staged-out outputs) already move more data than the CCR allows.
+var ErrCCRUnreachable = errors.New("montage: CCR unreachable")
+
 // calibrateCCR rescales intermediate file sizes (everything except the
 // external inputs and the staged-out outputs, whose sizes are anchored by
 // the paper) so the workflow's total file bytes satisfy
@@ -376,8 +382,8 @@ func (b *builder) calibrateCCR() error {
 	}
 	need := targetTotal - fixed
 	if need <= 0 {
-		return fmt.Errorf("montage: CCR %v unreachable: fixed files alone are %.0f bytes of a %.0f byte budget",
-			s.TargetCCR, fixed, targetTotal)
+		return fmt.Errorf("%w: CCR %v allows %.0f bytes of files, but the fixed inputs and outputs alone are %.0f bytes; raise workflow.ccr or workflow.degrees",
+			ErrCCRUnreachable, s.TargetCCR, targetTotal, fixed)
 	}
 	factor, err := trace.CalibrationFactor([]float64{scalable}, need)
 	if err != nil {

@@ -1,6 +1,7 @@
 package montage
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -246,8 +247,8 @@ func TestSpecValidate(t *testing.T) {
 func TestUnreachableCCRRejected(t *testing.T) {
 	s := OneDegree()
 	s.TargetCCR = 1e-9 // fixed files alone exceed the byte budget
-	if _, err := Generate(s); err == nil {
-		t.Error("Generate accepted unreachable CCR target")
+	if _, err := Generate(s); !errors.Is(err, ErrCCRUnreachable) {
+		t.Errorf("Generate of an unreachable CCR target: err = %v, want ErrCCRUnreachable", err)
 	}
 }
 

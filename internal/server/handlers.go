@@ -14,6 +14,7 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/exec"
 	"repro/internal/experiments"
+	"repro/internal/montage"
 	"repro/internal/report"
 	"repro/internal/store"
 	"repro/internal/sweep"
@@ -63,7 +64,8 @@ func (s *Server) countFailure(err error) {
 // statusFor maps a handler error to an HTTP status.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, exec.ErrSpotScheduleTooLarge), errors.Is(err, exec.ErrSpotDowntimeTooShort):
+	case errors.Is(err, exec.ErrSpotScheduleTooLarge), errors.Is(err, exec.ErrSpotDowntimeTooShort),
+		errors.Is(err, montage.ErrCCRUnreachable):
 		return http.StatusBadRequest
 	case errors.Is(err, errBusy):
 		return http.StatusServiceUnavailable

@@ -93,7 +93,10 @@ func TestStoreWriterQueueDepth(t *testing.T) {
 // TestServeDrainPersistsRacingMisses: distinct misses race the drain
 // that canceling Serve's context starts.  Every miss that was answered
 // is on disk once Serve returns, so a daemon restarted over the store
-// directory serves each one from it, byte-identical.
+// directory serves each one from it, byte-identical.  A flight the
+// drain detached may also persist a miss whose response the drain cut
+// off, so the store can hold more entries than were answered, but never
+// more than were simulated.
 func TestServeDrainPersistsRacingMisses(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(Config{StoreDir: dir})
@@ -155,8 +158,10 @@ func TestServeDrainPersistsRacingMisses(t *testing.T) {
 		}
 	}
 	t.Logf("%d of %d misses answered across the drain", want, n)
-	if got := s.store.Stats().Writes; got != want {
-		t.Errorf("store writes = %d after the drain, want one per answered miss (%d)", got, want)
+	sims := s.metrics.simulations.Load()
+	if got := s.store.Stats().Writes; got < want || got > sims {
+		t.Errorf("store writes = %d after the drain, want at least one per answered miss (%d) and at most one per simulation (%d)",
+			got, want, sims)
 	}
 	if got := s.metrics.storeDropped.Load(); got != 0 {
 		t.Errorf("the drain dropped %d writes", got)

@@ -328,16 +328,24 @@ func TestSubResolutionDowntimeIsBadRequest(t *testing.T) {
 // TestOverflowingKnobsAreBadRequests: a bandwidth whose bytes-per-second
 // rate overflows to +Inf, and a checkpoint size past the int64 range,
 // are refused before the run with a 400 naming the knob, and the daemon
-// keeps serving.
+// keeps serving.  So are the extremes that once failed inside the run
+// with a 500: a CCR past the byte counts' range, or too small for the
+// mosaic's fixed files, a mosaic too small to have CPU time, a link too
+// slow for the clock, and a price that overflows a cost.
 func TestOverflowingKnobsAreBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for knob, body := range map[string]string{
-		"storage.bandwidth_mbps":    `{"version":2,"workflow":{"name":"1deg"},"storage":{"bandwidth_mbps":1.7e308}}`,
-		"recovery.checkpoint_bytes": `{"version":2,"workflow":{"name":"1deg"},"recovery":{"checkpoint_seconds":300,"checkpoint_bytes":1e19}}`,
+	for _, c := range []struct{ knob, body string }{
+		{"storage.bandwidth_mbps", `{"version":2,"workflow":{"name":"1deg"},"storage":{"bandwidth_mbps":1.7e308}}`},
+		{"recovery.checkpoint_bytes", `{"version":2,"workflow":{"name":"1deg"},"recovery":{"checkpoint_seconds":300,"checkpoint_bytes":1e19}}`},
+		{"workflow.ccr", `{"version":2,"workflow":{"name":"1deg","ccr":1e30}}`},
+		{"workflow.ccr", `{"version":2,"workflow":{"name":"1deg","ccr":1e-300}}`},
+		{"workflow.degrees", `{"version":2,"workflow":{"degrees":1e-300}}`},
+		{"storage.bandwidth_mbps", `{"version":2,"workflow":{"name":"1deg"},"storage":{"bandwidth_mbps":1e-300}}`},
+		{"pricing.cpu_per_hour", `{"version":2,"workflow":{"name":"1deg"},"pricing":{"cpu_per_hour":1e308}}`},
 	} {
-		resp, got := postJSON(t, ts.URL+"/v2/run", body)
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), knob) {
-			t.Errorf("%s: status %d, body %s; want a 400 naming the knob", knob, resp.StatusCode, got)
+		resp, got := postJSON(t, ts.URL+"/v2/run", c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), c.knob) {
+			t.Errorf("%s: status %d, body %s; want a 400 naming %s", c.body, resp.StatusCode, got, c.knob)
 		}
 	}
 	if resp, got := postJSON(t, ts.URL+"/v2/run", baseline); resp.StatusCode != http.StatusOK {

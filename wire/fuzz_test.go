@@ -34,6 +34,14 @@ func scenarioSeeds(f *testing.F) {
 		`{"version":2,"workflow":{"name":"1deg"},"recovery":{"checkpoint_seconds":300,"checkpoint_bytes":1e19}}`,
 		// A custom mosaic whose size formats to a preset's.
 		`{"version":2,"workflow":{"degrees":1}}`,
+		// Extremes that once failed inside the run: file sizes past the
+		// int64 range, a CCR below the fixed files' share, no CPU time, a
+		// clock too coarse for the runtimes, and a cost of +Inf.
+		`{"version":2,"workflow":{"name":"1deg","ccr":1e30}}`,
+		`{"version":2,"workflow":{"name":"1deg","ccr":1e-300}}`,
+		`{"version":2,"workflow":{"degrees":1e-300}}`,
+		`{"version":2,"workflow":{"name":"1deg"},"storage":{"bandwidth_mbps":1e-300}}`,
+		`{"version":2,"workflow":{"name":"1deg"},"pricing":{"cpu_per_hour":1e308}}`,
 	} {
 		f.Add([]byte(body))
 	}

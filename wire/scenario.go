@@ -173,6 +173,26 @@ func (p PoliciesSection) bundle() policy.Bundle {
 // POST to materialize a multi-million-task DAG.
 const maxRequestDegrees = 20
 
+// Bounds on the knobs whose extremes would break the simulation rather
+// than describe a costly run.  Each lies orders of magnitude outside
+// what the paper, the registry experiments and the benchmark traffic
+// use: mosaics of 1 to 6 degrees, CCRs of 0.045 to 3.4, 5 to 100 Mbps
+// and rates below $1 per unit.
+const (
+	// minRequestDegrees: a much smaller mosaic rounds its mosaic size,
+	// and then its CPU time, to zero.
+	minRequestDegrees = 0.01
+	// maxRequestCCR: a larger CCR scales file sizes, and the byte counts
+	// summed over a run, past the int64 range.
+	maxRequestCCR = 1000
+	// minRequestBandwidthMbps (1 kbit/s): a slower link pushes the clock
+	// so far that task runtimes fall below its resolution.
+	minRequestBandwidthMbps = 0.001
+	// maxRequestRate, in dollars per unit: a larger price overflows a
+	// cost to +Inf, which no result document can carry.
+	maxRequestRate = 1e6
+)
+
 // Defaults filled into a spot section with revocations enabled.
 const (
 	defaultSpotWarningSeconds  = 120 // EC2's two-minute reclaim notice
@@ -200,6 +220,8 @@ func (w WorkflowSection) resolve() (montage.Spec, error) {
 		return montage.Spec{}, fmt.Errorf("wire: negative degrees %v", w.Degrees)
 	case w.Degrees > maxRequestDegrees:
 		return montage.Spec{}, fmt.Errorf("wire: %v-degree mosaic exceeds the %v-degree request limit", w.Degrees, float64(maxRequestDegrees))
+	case w.Degrees > 0 && w.Degrees < minRequestDegrees:
+		return montage.Spec{}, fmt.Errorf("wire: workflow.degrees %v is below the %v-degree request limit", w.Degrees, minRequestDegrees)
 	case w.Degrees > 0:
 		spec = montage.FromDegrees(w.Degrees, int64(roundDegrees(w.Degrees)))
 	default:
@@ -208,6 +230,8 @@ func (w WorkflowSection) resolve() (montage.Spec, error) {
 	switch {
 	case w.CCR < 0:
 		return montage.Spec{}, fmt.Errorf("wire: negative CCR %v", w.CCR)
+	case w.CCR > maxRequestCCR:
+		return montage.Spec{}, fmt.Errorf("wire: workflow.ccr %v exceeds the request limit of %v", w.CCR, float64(maxRequestCCR))
 	case w.CCR > 0:
 		spec.TargetCCR = w.CCR
 	}
@@ -243,6 +267,9 @@ func (s Scenario) Resolve() (montage.Spec, core.Plan, error) {
 		if st.BandwidthMbps < 0 {
 			return fail(fmt.Errorf("wire: negative bandwidth %v Mbps", st.BandwidthMbps))
 		}
+		if st.BandwidthMbps > 0 && st.BandwidthMbps < minRequestBandwidthMbps {
+			return fail(fmt.Errorf("wire: storage.bandwidth_mbps %v is below the request limit of %v Mbps", st.BandwidthMbps, minRequestBandwidthMbps))
+		}
 		if st.BandwidthMbps > 0 {
 			plan.Bandwidth = units.Mbps(st.BandwidthMbps)
 			if math.IsInf(float64(plan.Bandwidth), 0) {
@@ -272,8 +299,11 @@ func (s Scenario) Resolve() (montage.Spec, core.Plan, error) {
 			{"transfer_out_per_gb", pr.TransferOutPerGB},
 		}
 		for _, r := range rates {
-			if r.v < 0 {
+			switch {
+			case r.v < 0:
 				return fail(fmt.Errorf("wire: negative pricing rate %s = %v", r.name, r.v))
+			case r.v > maxRequestRate:
+				return fail(fmt.Errorf("wire: pricing.%s %v exceeds the request limit of $%v", r.name, r.v, float64(maxRequestRate)))
 			}
 		}
 		fees := cost.Amazon2008()

@@ -179,9 +179,55 @@ func TestScenarioResolveErrors(t *testing.T) {
 		"negative transfer-out":  {Version: 2, Workflow: wf, Pricing: &PricingSection{TransferOutPerGB: -0.1}},
 		"bandwidth overflow":     {Version: 2, Workflow: wf, Storage: &StorageSection{BandwidthMbps: 1.7e308}},
 		"ckpt bytes past int64":  {Version: 2, Workflow: wf, Recovery: &RecoverySection{CheckpointSeconds: 300, CheckpointBytes: 1e19}},
+		"ccr past the limit":     {Version: 2, Workflow: WorkflowSection{Name: "1deg", CCR: 1e30}},
+		"degrees under limit":    {Version: 2, Workflow: WorkflowSection{Degrees: 1e-300}},
+		"bandwidth under limit":  {Version: 2, Workflow: wf, Storage: &StorageSection{BandwidthMbps: 1e-300}},
+		"cpu rate past limit":    {Version: 2, Workflow: wf, Pricing: &PricingSection{CPUPerHour: 1e308}},
 	} {
 		if _, _, err := s.Resolve(); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestScenarioResolveLimits pins each request limit at its edge: the
+// limit itself resolves, and a value past it is refused with an error
+// naming the knob.  A CCR too small for its mosaic is not one of them:
+// only generation knows the mosaic's fixed files, and the service maps
+// montage.ErrCCRUnreachable to a 400.
+func TestScenarioResolveLimits(t *testing.T) {
+	wf := WorkflowSection{Name: "1deg"}
+	for _, c := range []struct {
+		knob     string
+		at, past Scenario
+	}{
+		{"workflow.degrees",
+			Scenario{Version: 2, Workflow: WorkflowSection{Degrees: minRequestDegrees}},
+			Scenario{Version: 2, Workflow: WorkflowSection{Degrees: minRequestDegrees / 2}}},
+		{"workflow.ccr",
+			Scenario{Version: 2, Workflow: WorkflowSection{Name: "1deg", CCR: maxRequestCCR}},
+			Scenario{Version: 2, Workflow: WorkflowSection{Name: "1deg", CCR: 2 * maxRequestCCR}}},
+		{"storage.bandwidth_mbps",
+			Scenario{Version: 2, Workflow: wf, Storage: &StorageSection{BandwidthMbps: minRequestBandwidthMbps}},
+			Scenario{Version: 2, Workflow: wf, Storage: &StorageSection{BandwidthMbps: minRequestBandwidthMbps / 2}}},
+		{"pricing.cpu_per_hour",
+			Scenario{Version: 2, Workflow: wf, Pricing: &PricingSection{CPUPerHour: maxRequestRate}},
+			Scenario{Version: 2, Workflow: wf, Pricing: &PricingSection{CPUPerHour: 2 * maxRequestRate}}},
+		{"pricing.storage_per_gb_month",
+			Scenario{Version: 2, Workflow: wf, Pricing: &PricingSection{StoragePerGBMonth: maxRequestRate}},
+			Scenario{Version: 2, Workflow: wf, Pricing: &PricingSection{StoragePerGBMonth: 2 * maxRequestRate}}},
+		{"pricing.transfer_in_per_gb",
+			Scenario{Version: 2, Workflow: wf, Pricing: &PricingSection{TransferInPerGB: maxRequestRate}},
+			Scenario{Version: 2, Workflow: wf, Pricing: &PricingSection{TransferInPerGB: 2 * maxRequestRate}}},
+		{"pricing.transfer_out_per_gb",
+			Scenario{Version: 2, Workflow: wf, Pricing: &PricingSection{TransferOutPerGB: maxRequestRate}},
+			Scenario{Version: 2, Workflow: wf, Pricing: &PricingSection{TransferOutPerGB: 2 * maxRequestRate}}},
+	} {
+		if _, _, err := c.at.Resolve(); err != nil {
+			t.Errorf("%s at its limit: %v", c.knob, err)
+		}
+		if _, _, err := c.past.Resolve(); err == nil || !strings.Contains(err.Error(), c.knob) {
+			t.Errorf("%s past its limit: err = %v, want an error naming it", c.knob, err)
 		}
 	}
 }
@@ -330,10 +376,12 @@ func TestDecodeStrictRejectsUnknownFields(t *testing.T) {
 // allocates the same objects and bytes per run at 2^20, 2^31 and 2^40
 // processors as at the workflow's full parallelism, so no bound on the
 // count is needed to keep a valid scenario from exhausting the daemon.
-// The byte count reads the process-wide TotalAlloc, which also counts
-// whatever the runtime or an earlier test's goroutines allocate during
-// the window, so each count is the least of several windows: noise only
-// ever adds bytes.
+// The counts read the process-wide MemStats, which also count whatever
+// the runtime or an earlier test's goroutines allocate during the
+// window, and a run allocates its arrays afresh whenever the engine's
+// sync.Pool has lost its recycled runner (a GC clears it, and under the
+// race detector Put drops one in four at random).  Both noises only ever
+// add, so each count is the least over many one-run windows.
 func TestProcessorCountCostsNoMemory(t *testing.T) {
 	if strconv.IntSize < 64 {
 		t.Skip("processor counts past 2^31 need a 64-bit int")
@@ -346,7 +394,7 @@ func TestProcessorCountCostsNoMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs, windows = 20, 5
+	const windows = 64
 	perRun := func(procs int) (allocs, bytes float64) {
 		_, plan, err := Scenario{
 			Version:  2,
@@ -362,17 +410,16 @@ func TestProcessorCountCostsNoMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		allocs = testing.AllocsPerRun(runs, run)
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-		bytes = math.Inf(1)
+		run()
+		allocs, bytes = math.Inf(1), math.Inf(1)
 		for w := 0; w < windows; w++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				run()
-			}
+			run()
 			runtime.ReadMemStats(&after)
-			bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+			allocs = math.Min(allocs, float64(after.Mallocs-before.Mallocs))
+			bytes = math.Min(bytes, float64(after.TotalAlloc-before.TotalAlloc))
 		}
 		return allocs, bytes
 	}
